@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import identify, machine, networks, scenarios
-from .configio import (ConfigError, as_map, parse_float, parse_int,
-                       read_pairs, resolve_path)
+from .configio import (ConfigError, Key, fields_schema, parse_float, parse_int,
+                       parse_str, read_config, read_table, resolve_path, write_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -23,73 +23,35 @@ EXIT_NUMERIC = 3
 DEFAULT_MINPHASE_GRID = (1.0, 1.1392, 1.5, 2.0)
 
 
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_dataset_csv(path, u_series, y_series) -> None:
-    lines = ["k,u,y"]
-    lines.extend(
-        f"{k},{repr(float(u))},{repr(float(y))}" for k, (u, y) in enumerate(zip(u_series, y_series))
-    )
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _read_dataset_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "k,u,y":
-            raise ConfigError(f"{path}: expected dataset header 'k,u,y', got {header!r}")
-        u, y = [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}: malformed dataset row {line.strip()!r}")
-            u.append(float(parts[1]))
-            y.append(float(parts[2]))
-    return np.array(u), np.array(y)
+    data = read_table(path, ("k", "u", "y"), "dataset")
+    return data[:, 1], data[:, 2]
 
 
 def cmd_identify(args) -> int:
-    values = as_map(read_pairs(args.config))
-    known = {"machine", "v_target", "n_samples", "dt", "u_min", "u_max", "hold", "seed"}
-    for key in values:
-        if key not in known:
-            raise ConfigError(f"unknown identify config key {key!r}")
-    if "machine" not in values:
-        raise ConfigError("identify config needs a 'machine' key")
-    params = machine.load_machine_config(resolve_path(args.config, values["machine"]))
-    plan = identify.ExcitationPlan(
-        n_samples=parse_int("n_samples", values.get("n_samples", "10000")),
-        dt=parse_float("dt", values.get("dt", "0.002")),
-        u_min=parse_float("u_min", values.get("u_min", "-0.1")),
-        u_max=parse_float("u_max", values.get("u_max", "0.1")),
-        hold=parse_int("hold", values.get("hold", "10")),
-        seed=args.seed if args.seed is not None else parse_int("seed", values.get("seed", "0")),
-    )
-    v_target = parse_float("v_target", values.get("v_target", "1.1392"))
+    values = read_config(args.config, "identify", {
+        "machine": Key(parse_str),
+        "v_target": Key(parse_float, 1.1392),
+        **fields_schema(identify.ExcitationPlan),
+    })
+    params = machine.load_machine_config(resolve_path(args.config, values.pop("machine")))
+    v_target = values.pop("v_target")
+    if args.seed is not None:
+        values["seed"] = args.seed
+    try:
+        plan = identify.ExcitationPlan(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid identify config {args.config}: {exc}") from exc
     u_series, y_series = identify.excite_and_record(params, plan, v_target)
     if args.out is None:
         raise ConfigError("identify needs --out for the dataset file")
-    _write_dataset_csv(args.out, u_series, y_series)
+    write_table(args.out, ("k", "u", "y"), zip(range(len(u_series)), u_series, y_series))
     print(f"wrote {len(u_series)} samples to {args.out}")
     return EXIT_OK
 
 
 def _load_datasets(config_path, values):
-    paths = values.get("dataset")
-    if not paths:
-        raise ConfigError("config needs at least one 'dataset' key")
-    series = []
-    for rel in paths:
-        u, y = _read_dataset_csv(resolve_path(config_path, rel))
-        series.append((u, y))
-    return series
+    return [_read_dataset_csv(resolve_path(config_path, rel)) for rel in values["dataset"]]
 
 
 def _split_datasets(series, train_fraction):
@@ -111,29 +73,30 @@ def _split_datasets(series, train_fraction):
 
 
 def cmd_train(args) -> int:
-    values = as_map(read_pairs(args.config), repeatable=("dataset",))
-    known = {"dataset", "hidden", "max_iter", "cost_tol", "seed", "train_fraction"}
-    for key in values:
-        if key not in known:
-            raise ConfigError(f"unknown train config key {key!r}")
+    values = read_config(args.config, "train", {
+        "dataset": Key(parse_str, repeat=True),
+        "hidden": Key(parse_int, 5),
+        "max_iter": Key(parse_int, 150),
+        "cost_tol": Key(parse_float, 0.0),
+        "train_fraction": Key(parse_float, 0.5),
+        "seed": Key(parse_int, 0),
+    })
     series = _load_datasets(args.config, values)
-    train_fraction = parse_float("train_fraction", values.get("train_fraction", "0.5"))
-    train, _ = _split_datasets(series, train_fraction)
-    hidden = parse_int("hidden", values.get("hidden", "5"))
-    max_iter = parse_int("max_iter", values.get("max_iter", "150"))
-    cost_tol = parse_float("cost_tol", values.get("cost_tol", "0.0"))
-    seed = args.seed if args.seed is not None else parse_int("seed", values.get("seed", "0"))
-    rng = np.random.default_rng(seed)
-    f0 = networks.Mlp.random(hidden, rng=rng)
-    g0 = networks.Mlp.random(hidden, rng=rng)
-    f_net, g_net, state = networks.lm_train(f0, g0, train, max_iter=max_iter, cost_tol=cost_tol)
+    # lm_train reports solver failures as TrainingError, bad arguments as ValueError.
+    try:
+        train, _ = _split_datasets(series, values["train_fraction"])
+        rng = np.random.default_rng(args.seed if args.seed is not None else values["seed"])
+        f0 = networks.Mlp.random(values["hidden"], rng=rng)
+        g0 = networks.Mlp.random(values["hidden"], rng=rng)
+        f_net, g_net, state = networks.lm_train(f0, g0, train, max_iter=values["max_iter"],
+                                                cost_tol=values["cost_tol"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid train config {args.config}: {exc}") from exc
     if args.out is None:
         raise ConfigError("train needs --out for the weight file")
     networks.save_weights(args.out, f_net, g_net)
     hist_path = os.path.splitext(args.out)[0] + "_cost.csv"
-    lines = ["iteration,cost"]
-    lines.extend(f"{i},{repr(c)}" for i, c in enumerate(state.cost_history))
-    _atomic_write(hist_path, "\n".join(lines) + "\n")
+    write_table(hist_path, ("iteration", "cost"), enumerate(state.cost_history))
     print(f"trained on {len(train)} records for {state.iteration} iterations, "
           f"final cost {state.cost_history[-1]:.6e}")
     print(f"wrote weights to {args.out} and cost history to {hist_path}")
@@ -141,42 +104,35 @@ def cmd_train(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    values = as_map(read_pairs(args.config), repeatable=("dataset",))
-    known = {"dataset", "weights", "train_fraction"}
-    for key in values:
-        if key not in known:
-            raise ConfigError(f"unknown validate config key {key!r}")
-    if "weights" not in values:
-        raise ConfigError("validate config needs a 'weights' key")
+    values = read_config(args.config, "validate", {
+        "dataset": Key(parse_str, repeat=True),
+        "weights": Key(parse_str),
+        "train_fraction": Key(parse_float, 0.5),
+    })
     series = _load_datasets(args.config, values)
-    train_fraction = parse_float("train_fraction", values.get("train_fraction", "0.5"))
-    _, holdout = _split_datasets(series, train_fraction)
+    try:
+        _, holdout = _split_datasets(series, values["train_fraction"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid validate config {args.config}: {exc}") from exc
     f_net, g_net = networks.load_weights(resolve_path(args.config, values["weights"]))
     report = identify.cross_validate(f_net, g_net, holdout)
     print(report)
     print(f"deadzone d0   = {identify.select_deadzone(report)}")
     if args.out:
-        lines = ["k,error"]
-        lines.extend(f"{k},{repr(float(e))}" for k, e in enumerate(report.errors))
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        write_table(args.out, ("k", "error"), enumerate(report.errors))
     return EXIT_OK
 
 
 def cmd_minphase(args) -> int:
-    grid = list(DEFAULT_MINPHASE_GRID)
     if args.config:
-        values = as_map(read_pairs(args.config), repeatable=("v_target",))
-        known = {"machine", "v_target"}
-        for key in values:
-            if key not in known:
-                raise ConfigError(f"unknown minphase config key {key!r}")
-        if "machine" not in values:
-            raise ConfigError("minphase config needs a 'machine' key")
+        values = read_config(args.config, "minphase", {
+            "machine": Key(parse_str),
+            "v_target": Key(parse_float, DEFAULT_MINPHASE_GRID, repeat=True),
+        })
         params = machine.load_machine_config(resolve_path(args.config, values["machine"]))
-        if "v_target" in values:
-            grid = [parse_float("v_target", v) for v in values["v_target"]]
+        grid = values["v_target"]
     else:
-        params = machine.MachineParams()
+        params, grid = machine.MachineParams(), DEFAULT_MINPHASE_GRID
     rows = []
     print(f"{'v_target':>9} {'c.b':>12} {'max Re(zero)':>13}  zeros")
     for v_target in grid:
@@ -188,19 +144,12 @@ def cmd_minphase(args) -> int:
         for z in model.zeros:
             rows.append((v_target, model.cb, z.real, z.imag))
     if args.out:
-        lines = ["v_target,cb,zero_re,zero_im"]
-        lines.extend(
-            f"{repr(float(v))},{repr(float(cb))},{repr(float(zr))},{repr(float(zi))}"
-            for v, cb, zr, zi in rows
-        )
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        write_table(args.out, ("v_target", "cb", "zero_re", "zero_im"), rows)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     cfg = scenarios.parse_scenario(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     trace = scenarios.run_scenario(cfg)
     if args.out is None:
         raise ConfigError("simulate needs --out for the trace file")
@@ -217,13 +166,7 @@ def cmd_compare(args) -> int:
     for name, (mx, rms) in stats.items():
         print(f"{name:>8} {mx:13.6g} {rms:13.6g}")
     if args.out:
-        names = list(diffs)
-        lines = ["t," + ",".join(f"d_{n}" for n in names)]
-        for k in range(len(t)):
-            lines.append(
-                repr(float(t[k])) + "," + ",".join(repr(float(diffs[n][k])) for n in names)
-            )
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        write_table(args.out, ["t"] + [f"d_{n}" for n in diffs], zip(t, *diffs.values()))
     return EXIT_OK
 
 
@@ -237,13 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, needs_config=True):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=needs_config, help="config file")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="output file")
         sp.set_defaults(func=func)
         return sp
 
-    add("identify", cmd_identify, "record an excitation dataset from the plant")
-    add("train", cmd_train, "fit the two-network model to recorded datasets")
+    for seeded in (add("identify", cmd_identify, "record an excitation dataset from the plant"),
+                   add("train", cmd_train, "fit the two-network model to recorded datasets")):
+        seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
     add("validate", cmd_validate, "cross-validate a weight file on held-out data")
     add("minphase", cmd_minphase, "tabulate transmission zeros over operating points",
         needs_config=False)

@@ -1,17 +1,31 @@
-"""Shared key-value config file format.
+"""Shared config and data file formats.
 
-All config files (machine, controller, scenario, identify, train) use the
-same plain-text layout: one `key = value` per line, `#` starts a comment,
-blank lines ignored.  Some keys are repeatable (`pole`, `event`).
+Config files hold one `key = value` per line, `#` starts a comment and
+blank lines are ignored; each reader declares its keys as a schema of
+`Key` entries for `read_config`.  Data files (datasets, traces, reports)
+are CSV tables of numbers under a fixed header.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import MISSING, fields
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class ConfigError(ValueError):
     """Malformed config file or unknown/invalid key."""
+
+
+class Key(NamedTuple):
+    """A config key: its parser `(key, raw) -> value`, its default (MISSING
+    when required) and whether it repeats, collecting its values in a list."""
+
+    parse: Callable
+    default: object = MISSING
+    repeat: bool = False
 
 
 def read_pairs(path) -> list[tuple[str, str]]:
@@ -36,18 +50,48 @@ def read_pairs(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def as_map(pairs, *, repeatable=()) -> dict:
-    """Collapse pairs to a dict; repeatable keys become lists, duplicates of
-    other keys are an error."""
+def read_config(path, kind: str, schema: dict, error=ConfigError) -> dict:
+    """Map each key of the {key: Key} schema to its parsed value or default;
+    unknown and missing required keys raise `error`, duplicates ConfigError."""
+    repeatable = {key for key, spec in schema.items() if spec.repeat}
+    raw = as_map(read_pairs(path), repeatable=repeatable, kind=f"{kind} config")
+    for key in raw:
+        if key not in schema:
+            raise error(f"unknown {kind} config key {key!r}")
+    values = {}
+    for key, spec in schema.items():
+        if key in raw:
+            values[key] = ([spec.parse(key, v) for v in raw[key]] if spec.repeat
+                           else spec.parse(key, raw[key]))
+        elif spec.default is MISSING:
+            raise error(f"{kind} config is missing the {key!r} key")
+        else:
+            values[key] = spec.default
+    return values
+
+
+def fields_schema(cls) -> dict:
+    """Schema of a dataclass's float/int/bool fields, with their defaults."""
+    parsers = {"float": parse_float, "int": parse_int, "bool": parse_bool}
+    return {f.name: Key(parsers[f.type], f.default) for f in fields(cls)}
+
+
+def as_map(pairs, *, repeatable=(), kind="config") -> dict:
+    """Collapse pairs to a dict of raw strings; repeatable keys become
+    lists, duplicates of other keys are an error."""
     out: dict = {}
     for key, value in pairs:
         if key in repeatable:
             out.setdefault(key, []).append(value)
         elif key in out:
-            raise ConfigError(f"duplicate key {key!r}")
+            raise ConfigError(f"duplicate {kind} key {key!r}")
         else:
             out[key] = value
     return out
+
+
+def parse_str(key, value) -> str:
+    return value
 
 
 def parse_float(key, value) -> float:
@@ -78,3 +122,36 @@ def resolve_path(base_file, value) -> str:
     if os.path.isabs(value):
         return value
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(base_file)), value))
+
+
+def read_table(path, columns, kind: str) -> np.ndarray:
+    """Read a CSV of floats with the header `columns` into an (n, len(columns)) array."""
+    header = ",".join(columns)
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        got = fh.readline().strip()
+        if got != header:
+            raise ConfigError(f"{path}: expected {kind} header {header!r}, got {got!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if line.isspace():
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise ConfigError(f"{path}:{lineno}: malformed {kind} row {line.strip()!r}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: non-numeric {kind} row {line.strip()!r}") from None
+    return np.array(values, dtype=float).reshape(-1, len(columns))
+
+
+def write_table(path, columns, rows) -> None:
+    """Write rows under the header `columns`, ints as integers and all other
+    values at full float precision; the file is replaced atomically."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+                 for row in rows)
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)

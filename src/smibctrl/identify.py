@@ -38,6 +38,8 @@ class ExcitationPlan:
             raise ValueError("hold must be at least 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
@@ -85,7 +87,7 @@ def build_regression_set(u_series, y_series, n: int = N_LAGS_Y, m: int = N_LAGS_
     return Dataset(z=z, u=u_series[ks], y_next=y_series[ks + 1])
 
 
-def split(data: Dataset, train_fraction: float = 0.5, seed: int = 0):
+def split(data: Dataset, train_fraction: float = 0.5):
     """Contiguous-block split preserving temporal order (first block trains)."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be strictly between 0 and 1")

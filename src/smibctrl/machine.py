@@ -8,7 +8,6 @@ field voltage and the regulated output is the terminal voltage.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import linalg
 
-from .configio import ConfigError, as_map, parse_bool, parse_float, read_pairs
+from .configio import ConfigError, fields_schema, read_config
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
 
@@ -408,20 +407,15 @@ def linearize(params: MachineParams, eq_state: MachineState, eq_u: float) -> Lin
 
 @dataclass(frozen=True)
 class St1aConfig:
-    """Static high-gain exciter baseline: u = gain_product * (v_ref - v_t).
+    """Static high-gain exciter baseline: u = gain_product * (v_ref - v_t)."""
 
-    gain_product is the exciter gain K_e times the machine ratio r_f/x_ad;
-    the components are stored for documentation.
-    """
-
-    gain_product: float = 200.0 * 3.9056e-4
     K_e: float = 200.0
-    T_e: float = 0.0
     rf_over_xad: float = 3.9056e-4
 
-    def __post_init__(self):
-        if abs(self.gain_product - self.K_e * self.rf_over_xad) > 1e-6:
-            raise ValueError("gain_product must equal K_e * (r_f/x_ad)")
+    @property
+    def gain_product(self) -> float:
+        """Exciter gain K_e times the machine ratio r_f/x_ad."""
+        return self.K_e * self.rf_over_xad
 
 
 def st1a_control(v_t: float, v_ref: float, cfg: St1aConfig = St1aConfig()) -> float:
@@ -429,24 +423,12 @@ def st1a_control(v_t: float, v_ref: float, cfg: St1aConfig = St1aConfig()) -> fl
     return cfg.gain_product * (v_ref - v_t)
 
 
-_FLOAT_FIELDS = {f.name for f in dataclasses.fields(MachineParams) if f.type == "float"}
-
-
 def load_machine_config(path) -> MachineParams:
     """Read a machine config file; unknown keys are errors."""
-    pairs = read_pairs(path)
-    values = as_map(pairs)
-    kwargs = {}
-    for key, raw in values.items():
-        if key in _FLOAT_FIELDS:
-            kwargs[key] = parse_float(key, raw)
-        elif key == "speed_coupled_z":
-            kwargs[key] = parse_bool(key, raw)
-        else:
-            raise ConfigError(f"unknown machine config key {key!r}")
+    values = read_config(path, "machine", fields_schema(MachineParams))
     try:
-        return MachineParams(**kwargs)
-    except (ValueError, SingularInductanceError) as exc:
+        return MachineParams(**values)
+    except ValueError as exc:  # includes SingularInductanceError
         raise ConfigError(f"invalid machine config {path}: {exc}") from exc
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configio import ConfigError
+
 N_LAGS_Y = 7
 N_LAGS_U = 6
 REGRESSOR_LEN = N_LAGS_Y + N_LAGS_U
@@ -202,8 +204,6 @@ class LmState:
     mu: float
     cost_history: list = field(default_factory=list)
     iteration: int = 0
-    s_k: np.ndarray | None = None
-    rho_k: float = 1.0
 
 
 def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
@@ -253,7 +253,6 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                 theta, cost = trial, trial_cost
                 f_net, g_net = f_try, g_try
                 state.mu = max(state.mu / 10.0, 1e-15)
-                state.s_k = step
                 accepted = True
                 break
             state.mu *= 10.0
@@ -282,17 +281,22 @@ def save_weights(path, f_net: Mlp, g_net: Mlp) -> None:
 
 
 def load_weights(path):
+    """Read a save_weights file; a malformed file or a non-finite weight is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != WEIGHT_FORMAT:
-            raise ValueError(f"{path}: not a {WEIGHT_FORMAT} weight file")
-        try:
-            p = int(header[1].removeprefix("p="))
-            n_in = int(header[2].removeprefix("in="))
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed weight file header") from exc
-        values = [float(line) for line in fh if line.strip()]
+        lines = [line for line in fh if line.strip()]
+    if len(header) != 3 or header[0] != WEIGHT_FORMAT:
+        raise ConfigError(f"{path}: not a {WEIGHT_FORMAT} weight file")
+    try:
+        p = int(header[1].removeprefix("p="))
+        n_in = int(header[2].removeprefix("in="))
+        values = np.array([float(line) for line in lines])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed weight file: {exc}") from exc
     expected = 2 * (p * n_in + 2 * p + 1)
-    if len(values) != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(values)}")
-    return theta_unflatten(np.array(values), p, p, n_in)
+    if min(p, n_in) < 0 or len(values) != expected:
+        raise ConfigError(f"{path}: expected {expected} values for p={p} in={n_in}, "
+                          f"found {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: weight file holds a non-finite value")
+    return theta_unflatten(values, p, p, n_in)

@@ -8,15 +8,16 @@ controller and integrates four RK4 micro-steps.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import find_peaks
 
 from . import machine
-from .configio import (ConfigError, as_map, parse_bool, parse_float, parse_int,
-                       read_pairs, resolve_path)
+from .configio import (ConfigError, Key, parse_bool, parse_float, parse_int,
+                       parse_str, read_config, read_table, resolve_path,
+                       write_table)
 from .control import (ControllerState, DeadzoneConfig, ExactPlantModel,
                       NeuralPlantModel, PolePlacement, PssConfig, control_step,
                       synthesize_poly)
@@ -26,6 +27,8 @@ from .networks import load_weights, N_LAGS_Y
 TRACE_COLUMNS = ("t", "v_ref", "v_t", "v_f", "delta", "omega", "e_star", "adapted")
 
 EVENT_ACTIONS = ("set_vref", "scale_H", "set_Pm")
+
+EVENT_TIME_TOL = 1e-12  # an event applies at the first instant t with time <= t + tol
 
 
 class ScenarioError(ConfigError):
@@ -60,20 +63,28 @@ class ScenarioConfig:
     t_end: float
     dt_control: float = 0.002
     v_ref: float = 1.1392
-    seed: int = 0
     events: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.dt_control > 0:
             raise ScenarioError("dt_control must be positive")
+        if not 1.0 <= self.t_end / self.dt_control < math.inf:
+            raise ScenarioError("t_end must be finite and at least dt_control")
         times = [e.time for e in self.events]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ScenarioError("event times must be non-decreasing")
-        if any(e.time < 0 or e.time > self.t_end for e in self.events):
-            raise ScenarioError("event times must lie within [0, t_end]")
+        t_last = (self.n_steps - 1) * self.dt_control  # the last control instant
+        if not all(0.0 <= e.time <= t_last + EVENT_TIME_TOL for e in self.events):
+            raise ScenarioError(f"event times must lie within [0, {t_last:g}]")
         for e in self.events:
             if e.action not in EVENT_ACTIONS:
                 raise ScenarioError(f"unknown event action {e.action!r}")
+            if e.action == "scale_H" and not e.value > 0.0:
+                raise ScenarioError(f"scale_H factor must be positive, got {e.value}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt_control))
 
 
 @dataclass
@@ -92,103 +103,80 @@ class Trace:
     def __len__(self):
         return len(self.t)
 
-    def column(self, name):
-        return getattr(self, name)
-
     def at_time(self, t_query: float) -> int:
         """Index of the sample closest to t_query."""
         return int(np.argmin(np.abs(self.t - t_query)))
 
     def to_csv(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for k in range(len(self)):
-                row = [repr(float(self.column(c)[k])) for c in TRACE_COLUMNS[:-1]]
-                row.append(str(int(self.adapted[k])))
-                fh.write(",".join(row) + "\n")
-        os.replace(tmp, path)
+        floats = [getattr(self, c) for c in TRACE_COLUMNS[:-1]]
+        write_table(path, TRACE_COLUMNS, zip(*floats, map(int, self.adapted)))
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != ",".join(TRACE_COLUMNS):
-                raise ConfigError(f"{path}: unexpected trace header {header!r}")
-            rows = [line.split(",") for line in fh if line.strip()]
-        if not rows:
+        data = read_table(path, TRACE_COLUMNS, "trace")
+        if not len(data):
             raise ConfigError(f"{path}: empty trace")
-        data = np.array([[float(v) for v in row] for row in rows])
-        cols = {name: data[:, j] for j, name in enumerate(TRACE_COLUMNS)}
-        return cls(**cols)
+        return cls(**{name: data[:, j] for j, name in enumerate(TRACE_COLUMNS)})
 
 
 def load_controller_config(path) -> ControllerConfig:
-    pairs = read_pairs(path)
-    values = as_map(pairs, repeatable=("pole",))
-    cfg = ControllerConfig()
-    for key, raw in values.items():
-        if key == "controller":
-            if raw not in ("neural", "st1a", "none"):
-                raise ConfigError(f"controller must be neural|st1a|none, got {raw!r}")
-            cfg.kind = raw
-        elif key == "p":
-            cfg.p = parse_int(key, raw)
-            if cfg.p < 0:
-                raise ConfigError("p must be non-negative")
-        elif key == "pole":
-            cfg.poles = tuple(parse_float(key, v) for v in raw)
-        elif key == "nu":
-            cfg.nu = parse_float(key, raw)
-        elif key == "d0":
-            cfg.d0 = parse_float(key, raw)
-        elif key == "g_min":
-            cfg.g_min = None if raw == "auto" else parse_float(key, raw)
-        elif key == "adapt":
-            cfg.adapt = parse_bool(key, raw)
-        elif key == "weights":
-            cfg.weights_path = resolve_path(path, raw)
-        else:
-            raise ConfigError(f"unknown controller config key {key!r}")
-    if "p" in values and "pole" not in values:
-        cfg.poles = (0.7,) * cfg.p
-    elif "pole" in values and "p" not in values:
-        cfg.p = len(cfg.poles)
-    elif len(cfg.poles) == 1 and cfg.p > 1:
-        cfg.poles = cfg.poles * cfg.p
-    if len(cfg.poles) != cfg.p:
-        raise ConfigError(f"{len(cfg.poles)} poles given for order p={cfg.p}")
-    if cfg.kind == "neural" and cfg.weights_path is None:
+    """Read a controller config.  Without `p` the order is the number of
+    `pole` lines; without them every pole is 0.7; one pole repeats p times."""
+    values = read_config(path, "controller", {
+        "controller": Key(parse_str, ControllerConfig.kind),
+        "weights": Key(parse_str, None),
+        "p": Key(parse_int, None),
+        "pole": Key(parse_float, (), repeat=True),
+        "nu": Key(parse_float, ControllerConfig.nu),
+        "d0": Key(parse_float, ControllerConfig.d0),
+        "g_min": Key(lambda key, raw: None if raw == "auto" else parse_float(key, raw), None),
+        "adapt": Key(parse_bool, ControllerConfig.adapt),
+    })
+    kind, p, poles = values["controller"], values["p"], tuple(values["pole"])
+    if kind not in ("neural", "st1a", "none"):
+        raise ConfigError(f"controller must be neural|st1a|none, got {kind!r}")
+    if p is None:
+        p = len(poles) or ControllerConfig.p
+    if len(poles) <= 1 and p > len(poles):
+        poles = (poles or (0.7,)) * p
+    if len(poles) != p:
+        raise ConfigError(f"{len(poles)} poles given for order p={p}")
+    g_min, weights = values["g_min"], values["weights"]
+    if g_min is not None and not g_min > 0.0:
+        raise ConfigError("g_min must be positive or auto")
+    try:
+        synthesize_poly(poles)
+        DeadzoneConfig(d0=values["d0"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid controller config {path}: {exc}") from exc
+    if kind == "neural" and weights is None:
         raise ConfigError("neural controller config needs a weights file")
-    return cfg
+    if weights is not None:
+        weights = resolve_path(path, weights)
+    return ControllerConfig(kind=kind, p=p, poles=poles, nu=values["nu"], d0=values["d0"],
+                            g_min=g_min, adapt=values["adapt"], weights_path=weights)
+
+
+def _parse_event(key, raw) -> Event:
+    parts = raw.split()
+    if len(parts) != 3:
+        raise ScenarioError(f"event must be '<time> <action> <value>', got {raw!r}")
+    return Event(parse_float("event time", parts[0]), parts[1],
+                 parse_float("event value", parts[2]))
 
 
 def parse_scenario(path) -> ScenarioConfig:
-    pairs = read_pairs(path)
-    values = as_map(pairs, repeatable=("event",))
-    known = {"machine", "controller", "t_end", "dt_control", "v_ref", "seed", "event"}
-    for key in values:
-        if key not in known:
-            raise ScenarioError(f"unknown scenario key {key!r}")
-    for key in ("machine", "controller", "t_end"):
-        if key not in values:
-            raise ScenarioError(f"scenario is missing the {key!r} key")
-    events = []
-    for raw in values.get("event", []):
-        parts = raw.split()
-        if len(parts) != 3:
-            raise ScenarioError(f"event must be '<time> <action> <value>', got {raw!r}")
-        events.append(Event(parse_float("event time", parts[0]), parts[1],
-                            parse_float("event value", parts[2])))
-    return ScenarioConfig(
-        machine_path=resolve_path(path, values["machine"]),
-        controller_path=resolve_path(path, values["controller"]),
-        t_end=parse_float("t_end", values["t_end"]),
-        dt_control=parse_float("dt_control", values.get("dt_control", "0.002")),
-        v_ref=parse_float("v_ref", values.get("v_ref", "1.1392")),
-        seed=parse_int("seed", values.get("seed", "0")),
-        events=events,
-    )
+    values = read_config(path, "scenario", {
+        "machine": Key(parse_str),
+        "controller": Key(parse_str),
+        "t_end": Key(parse_float),
+        "dt_control": Key(parse_float, ScenarioConfig.dt_control),
+        "v_ref": Key(parse_float, ScenarioConfig.v_ref),
+        "event": Key(_parse_event, (), repeat=True),
+    }, error=ScenarioError)
+    return ScenarioConfig(machine_path=resolve_path(path, values.pop("machine")),
+                          controller_path=resolve_path(path, values.pop("controller")),
+                          events=list(values.pop("event")), **values)
 
 
 def _apply_event(params, event: Event):
@@ -223,7 +211,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
             adaptation_enabled=ctrl_cfg.adapt,
         )
 
-    n_steps = int(round(cfg.t_end / cfg.dt_control))
+    n_steps = cfg.n_steps
     micro_dt = cfg.dt_control / MICRO_STEPS
     pending = sorted(cfg.events, key=lambda e: e.time)
     v_ref = cfg.v_ref
@@ -232,7 +220,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
     for k in range(n_steps):
         t = k * cfg.dt_control
-        while pending and pending[0].time <= t + 1e-12:
+        while pending and pending[0].time <= t + EVENT_TIME_TOL:
             params, new_ref = _apply_event(params, pending.pop(0))
             if new_ref is not None:
                 v_ref = new_ref
@@ -334,7 +322,7 @@ def compare_traces(a: Trace, b: Trace):
     diffs = {}
     stats = {}
     for name in TRACE_COLUMNS[1:]:
-        d = a.column(name)[ia] - b.column(name)[ib]
+        d = getattr(a, name)[ia] - getattr(b, name)[ib]
         diffs[name] = d
         stats[name] = (float(np.max(np.abs(d))), float(np.sqrt(np.mean(d * d))))
     return common, diffs, stats

@@ -2,6 +2,7 @@ import filecmp
 import os
 
 import numpy as np
+import pytest
 
 from smibctrl.cli import cli_dispatch
 
@@ -147,3 +148,76 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert cli_dispatch(["simulate", "--config", str(scen), "--out",
                          str(tmp_path / "t.csv")]) == 3
+
+
+TRACE_HEADER = "t,v_ref,v_t,v_f,delta,omega,e_star,adapted\n"
+
+
+def _simulate(tmp_path, scenario_lines, controller=config_path("ctrl_none.cfg")):
+    scen = tmp_path / "s.cfg"
+    scen.write_text(f"machine = {config_path('machine_ref.cfg')}\n"
+                    f"controller = {controller}\n{scenario_lines}")
+    return ["simulate", "--config", str(scen), "--out", str(tmp_path / "t.csv")]
+
+
+def _simulate_with_controller(tmp_path, ctrl_text):
+    ctrl = tmp_path / "c.cfg"
+    ctrl.write_text(ctrl_text)
+    return _simulate(tmp_path, "t_end = 0.1\n", ctrl)
+
+
+def _validate_with_weights(tmp_path, weights_text):
+    weights = tmp_path / "w.nwt"
+    weights.write_text(weights_text)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\nweights = {weights}\n")
+    return ["validate", "--config", str(cfg)]
+
+
+def _train_on(tmp_path, extra, dataset=None):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"dataset = {dataset or config_path('dataset_dither.csv')}\n{extra}")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "w.nwt")]
+
+
+def _compare_trace(tmp_path, body):
+    trace = tmp_path / "a.csv"
+    trace.write_text(TRACE_HEADER + body)
+    return ["compare", str(trace), str(trace)]
+
+
+def _identify_with(tmp_path, extra):
+    cfg = tmp_path / "i.cfg"
+    cfg.write_text(f"machine = {config_path('machine_ref.cfg')}\n{extra}")
+    return ["identify", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
+
+
+def _bad_dataset(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("k,u,y\n0,0.1,1.1\n1,abc,1.1\n")
+    return _train_on(tmp_path, "", dataset=data)
+
+
+BAD_INPUTS = {
+    "identify hold 0": lambda tmp: _identify_with(tmp, "hold = 0\n"),
+    "identify seed -1": lambda tmp: _identify_with(tmp, "n_samples = 100\nseed = -1\n"),
+    "train fraction 1.5": lambda tmp: _train_on(tmp, "train_fraction = 1.5\n"),
+    "train max_iter 0": lambda tmp: _train_on(tmp, "max_iter = 0\n"),
+    "controller d0 -1": lambda tmp: _simulate_with_controller(
+        tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\nd0 = -1\n"),
+    "controller g_min -1": lambda tmp: _simulate_with_controller(
+        tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\ng_min = -1\n"),
+    "scenario t_end -1": lambda tmp: _simulate(tmp, "t_end = -1\n"),
+    "scenario scale_H 0": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H 0\n"),
+    "weight non-numeric": lambda tmp: _validate_with_weights(tmp, "narx-v1 p=0 in=13\n1.0\nabc\n"),
+    "weight nan": lambda tmp: _validate_with_weights(tmp, "narx-v1 p=0 in=13\nnan\n0.0\n"),
+    "dataset non-numeric": _bad_dataset,
+    "trace non-numeric": lambda tmp: _compare_trace(tmp, "0,1,1,1,0,0,0,x\n"),
+    "trace short row": lambda tmp: _compare_trace(tmp, "0,1,1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    assert cli_dispatch(BAD_INPUTS[case](tmp_path)) == 2
+    assert "config error" in capsys.readouterr().err

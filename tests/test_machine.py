@@ -200,11 +200,6 @@ def test_st1a_examples():
     assert abs(st1a_control(1.1, 1.0, cfg) + 0.00781) <= 1.5e-6
 
 
-def test_st1a_invariant_checked():
-    with pytest.raises(ValueError):
-        St1aConfig(gain_product=0.5)
-
-
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-10, 10))
 def test_st1a_is_linear(v_t, v_ref, alpha):
     cfg = St1aConfig()

@@ -138,6 +138,13 @@ def test_scenario_validation(tmp_path):
     )
     with pytest.raises(ScenarioError):
         parse_scenario(scen)
+    scen.write_text(
+        f"machine = {config_path('machine_ref.cfg')}\n"
+        f"controller = {config_path('ctrl_none.cfg')}\n"
+        "t_end = 1.0\nevent = 1.0 set_vref 1.2\n"  # after the last instant, 0.998 s
+    )
+    with pytest.raises(ScenarioError):
+        parse_scenario(scen)
 
 
 def test_controller_config_parsing():
