@@ -136,8 +136,7 @@ def cmd_minphase(args) -> int:
     rows = []
     print(f"{'v_target':>9} {'c.b':>12} {'max Re(zero)':>13}  zeros")
     for v_target in grid:
-        eq_state, u_eq = machine.find_equilibrium(params, v_target)
-        model = machine.linearize(params, eq_state, u_eq)
+        model = machine.linearize(params, *machine.find_equilibrium(params, v_target))
         worst = max(z.real for z in model.zeros)
         zs = " ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in model.zeros)
         print(f"{v_target:9.4f} {model.cb:12.5g} {worst:13.5g}  {zs}")

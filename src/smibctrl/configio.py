@@ -45,7 +45,7 @@ def read_pairs(path) -> list[tuple[str, str]]:
                 if not key or not value:
                     raise ConfigError(f"{path}:{lineno}: empty key or value")
                 pairs.append((key, value))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return pairs
 
@@ -128,20 +128,24 @@ def read_table(path, columns, kind: str) -> np.ndarray:
     """Read a CSV of floats with the header `columns` into an (n, len(columns)) array."""
     header = ",".join(columns)
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        got = fh.readline().strip()
-        if got != header:
-            raise ConfigError(f"{path}: expected {kind} header {header!r}, got {got!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise ConfigError(f"{path}:{lineno}: malformed {kind} row {line.strip()!r}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric {kind} row {line.strip()!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            got = fh.readline().strip()
+            if got != header:
+                raise ConfigError(f"{path}: expected {kind} header {header!r}, got {got!r}")
+            for lineno, line in enumerate(fh, start=2):
+                if line.isspace():
+                    continue
+                parts = line.split(",")
+                if len(parts) != len(columns):
+                    raise ConfigError(f"{path}:{lineno}: malformed {kind} row {line.strip()!r}")
+                try:
+                    values.extend(map(float, parts))
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}:{lineno}: non-numeric {kind} row {line.strip()!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
     return np.array(values, dtype=float).reshape(-1, len(columns))
 
 

@@ -93,7 +93,7 @@ def linearizing_control(f_hat: float, g_hat: float, u_til: float, g_min: float) 
 class PssConfig:
     """Rotor-speed damping term added to the field voltage."""
 
-    base_gain: float = 0.7091   # pu per rad/s
+    base_gain: float = 0.7091   # pu field voltage per pu slip
     nu: float = 3.0
 
     @property
@@ -101,8 +101,9 @@ class PssConfig:
         return self.nu * self.base_gain
 
 
-def pss_augment(u_lin: float, delta_dot: float, cfg: PssConfig) -> float:
-    return u_lin + cfg.k_pss * delta_dot
+def pss_augment(u_lin: float, slip: float, cfg: PssConfig) -> float:
+    """Add the damping term; slip is the per-unit rotor slip omega/omega_b."""
+    return u_lin + cfg.k_pss * slip
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ class ControllerState:
         return make_regressor(self.y_hist, self.u_hist)
 
 
-def control_step(ctrl: ControllerState, r: float, y_meas: float, delta_dot: float,
+def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float,
                  poles: PolePlacement, pss: PssConfig, dz: DeadzoneConfig):
     """One sampling instant of the adaptive loop.
 
@@ -253,7 +254,7 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, delta_dot: floa
     f_hat = ctrl.model.f(z)
     g_hat = ctrl.model.g(z)
     u_til = u_tilde(r, ctrl.y_hist, poles)
-    u = pss_augment(linearizing_control(f_hat, g_hat, u_til, ctrl.g_min), delta_dot, pss)
+    u = pss_augment(linearizing_control(f_hat, g_hat, u_til, ctrl.g_min), slip, pss)
     if not math.isfinite(u):
         raise FloatingPointError("control input is not finite")
 

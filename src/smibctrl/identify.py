@@ -51,7 +51,7 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     the output series is the terminal voltage, both sampled every plan.dt.
     Deterministic for a fixed seed.
     """
-    state, u_eq = machine.find_equilibrium(params, v_target)
+    x, u_eq = machine.find_equilibrium(params, v_target)
     rng = np.random.default_rng(plan.seed)
     n_levels = -(-plan.n_samples // plan.hold)
     levels = rng.uniform(plan.u_min, plan.u_max, size=n_levels)
@@ -59,11 +59,11 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     y_series = np.empty(plan.n_samples)
     micro_dt = plan.dt / MICRO_STEPS
     for k in range(plan.n_samples):
-        y_series[k] = machine.terminal_voltage(state, params)
+        y_series[k] = machine.terminal_voltage(x, params)
         u = u_eq + u_series[k]
         try:
             for _ in range(MICRO_STEPS):
-                state = machine.rk4_step(state, u, micro_dt, params)
+                x = machine.rk4_step(x, u, micro_dt, params)
         except machine.DivergenceError as exc:
             raise machine.DivergenceError(f"simulation diverged at sample {k}") from exc
     return u_series, y_series

@@ -1,9 +1,11 @@
 """Seventh-order synchronous machine / infinite-bus plant.
 
 Per-unit Park-frame model of a steam-turbine generator tied through a
-transmission link to an infinite bus.  States are the power angle, its
-derivative and the five winding flux linkages; the control input is the
-field voltage and the regulated output is the terminal voltage.
+transmission link to an infinite bus.  The state is one flat vector
+x = [delta, omega, lam_d, lam_q, lam_f, lam_kd, lam_kq]: the power angle
+(rad), its derivative (rad/s) and the five winding flux linkages (pu).
+The control input is the field voltage and the regulated output is the
+terminal voltage.
 """
 
 from __future__ import annotations
@@ -91,154 +93,110 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _assembled(params: MachineParams):
-    """Cached per-params factorization of L plus the resistance sign pattern."""
+    """Cached per-params factorization of L, the resistance sign pattern and
+    the steady-flux matrix K = (R + M) L^-1 + Z of `_steady_state`."""
     L = inductance_matrix(params)
     det = float(np.linalg.det(L))
     if not np.isfinite(det) or abs(det) <= 1e-12:
         raise SingularInductanceError(f"|det L| = {abs(det):.3e} <= 1e-12")
     lu = linalg.lu_factor(L)
     r_diag = np.array([params.r_s, params.r_s, -params.r_f, -params.r_kd, -params.r_kq])
-    return L, lu, r_diag
-
-
-@dataclass
-class MachineState:
-    """Plant state: power angle (rad), its derivative (rad/s) and the five
-    flux linkages [d, q, field, kd, kq] (pu)."""
-
-    delta: float
-    omega: float
-    lam: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.delta, self.omega], self.lam))
-
-    @classmethod
-    def from_vector(cls, x) -> "MachineState":
-        x = np.asarray(x, dtype=float)
-        return cls(float(x[0]), float(x[1]), x[2:7].copy())
-
-    def copy(self) -> "MachineState":
-        return MachineState(self.delta, self.omega, self.lam.copy())
-
-
-@dataclass
-class ElectricalInterface:
-    """Algebraic quantities at one state: currents [Id, Iq, If, Ikd, Ikq],
-    stator dq voltages, electrical power and terminal voltage (all pu)."""
-
-    i: np.ndarray
-    v_d: float
-    v_q: float
-    P_e: float
-    v_t: float
+    RM = np.diag(r_diag)
+    RM[0, 0:2] += [params.r11, -params.x11]
+    RM[1, 0:2] += [params.x11, params.r11]
+    K = RM @ np.linalg.inv(L)
+    K[0, 1] += 1.0
+    K[1, 0] -= 1.0
+    return lu, r_diag, K
 
 
 def dq_currents(lam, params: MachineParams) -> np.ndarray:
     """Winding currents solving L i = lambda."""
-    _, lu, _ = _assembled(params)
+    lu, _, _ = _assembled(params)
     return linalg.lu_solve(lu, np.asarray(lam, dtype=float))
 
 
-def electrical_interface(state: MachineState, u: float, params: MachineParams) -> ElectricalInterface:
-    """Terminal-side algebraic map; the field voltage u does not enter it.
+def _bus_voltage(params: MachineParams, delta: float):
+    """dq components of the infinite-bus voltage seen at power angle delta."""
+    sin_d, cos_d = math.sin(delta), math.cos(delta)
+    return (params.v_inf * (params.A * sin_d + params.B * cos_d),
+            -params.v_inf * (params.B * sin_d - params.A * cos_d))
+
+
+def dq_voltages(x, params: MachineParams):
+    """Currents [Id, Iq, If, Ikd, Ikq] and stator voltages v_d, v_q (pu) at x.
 
     The transmission drop is the skew pairing (-x11 Iq in v_d, +x11 Id in
     v_q); a symmetric pairing would invert the sense of voltage regulation
     and destabilize any positive-gain exciter.
     """
-    if not math.isfinite(state.delta):
+    if not math.isfinite(x[0]):
         raise DivergenceError("power angle is not finite")
-    i = dq_currents(state.lam, params)
-    sin_d = math.sin(state.delta)
-    cos_d = math.cos(state.delta)
-    v_d = params.r11 * i[0] - params.x11 * i[1] + params.v_inf * (params.A * sin_d + params.B * cos_d)
-    v_q = params.r11 * i[1] + params.x11 * i[0] - params.v_inf * (params.B * sin_d - params.A * cos_d)
-    P_e = state.lam[0] * i[1] - state.lam[1] * i[0]
-    v_t = math.hypot(v_d, v_q)
-    return ElectricalInterface(i=i, v_d=float(v_d), v_q=float(v_q), P_e=float(P_e), v_t=float(v_t))
+    i = dq_currents(x[2:], params)
+    w_d, w_q = _bus_voltage(params, x[0])
+    v_d = params.r11 * i[0] - params.x11 * i[1] + w_d
+    v_q = params.r11 * i[1] + params.x11 * i[0] + w_q
+    return i, v_d, v_q
 
 
-def terminal_voltage(state: MachineState, params: MachineParams) -> float:
-    return electrical_interface(state, 0.0, params).v_t
+def terminal_voltage(x, params: MachineParams) -> float:
+    _, v_d, v_q = dq_voltages(x, params)
+    return math.hypot(v_d, v_q)
 
 
-def derivatives(state: MachineState, u: float, params: MachineParams) -> np.ndarray:
-    """State rate [ddelta, domega, dlambda(5)] at the given field voltage."""
-    _, _, r_diag = _assembled(params)
-    ei = electrical_interface(state, u, params)
-    lam = state.lam
-    s = 1.0 + state.omega / params.omega_b if params.speed_coupled_z else 1.0
-    dlam = r_diag * ei.i
-    dlam[0] += s * lam[1] + ei.v_d
-    dlam[1] += -s * lam[0] + ei.v_q
+def derivatives(x, u: float, params: MachineParams) -> np.ndarray:
+    """State rate dx/dt at the given field voltage."""
+    _, r_diag, _ = _assembled(params)
+    i, v_d, v_q = dq_voltages(x, params)
+    lam = x[2:]
+    s = 1.0 + x[1] / params.omega_b if params.speed_coupled_z else 1.0
+    dlam = r_diag * i
+    dlam[0] += s * lam[1] + v_d
+    dlam[1] += -s * lam[0] + v_q
     dlam[2] += u
     dlam *= params.omega_b
-    ddelta = state.omega
-    domega = params.omega_b / (2.0 * params.H) * (params.P_m - ei.P_e - params.D * state.omega)
-    return np.concatenate(([ddelta, domega], dlam))
+    P_e = lam[0] * i[1] - lam[1] * i[0]
+    domega = params.omega_b / (2.0 * params.H) * (params.P_m - P_e - params.D * x[1])
+    return np.concatenate(([x[1], domega], dlam))
 
 
-def rk4_step(state: MachineState, u: float, dt: float, params: MachineParams) -> MachineState:
+def rk4_step(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
     """One classical Runge-Kutta step holding u constant."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x0 = state.as_vector()
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = derivatives(state, u, params)
-        k2 = derivatives(MachineState.from_vector(x0 + 0.5 * dt * k1), u, params)
-        k3 = derivatives(MachineState.from_vector(x0 + 0.5 * dt * k2), u, params)
-        k4 = derivatives(MachineState.from_vector(x0 + dt * k3), u, params)
-        x1 = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = derivatives(x, u, params)
+        k2 = derivatives(x + 0.5 * dt * k1, u, params)
+        k3 = derivatives(x + 0.5 * dt * k2, u, params)
+        k4 = derivatives(x + dt * k3, u, params)
+        x1 = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x1)):
         raise DivergenceError("rk4_step produced a non-finite state")
-    return MachineState.from_vector(x1)
+    return x1
 
 
-def _flux_for(params: MachineParams, delta: float, u: float) -> np.ndarray:
-    """Steady flux linkages for fixed angle and field voltage.
+def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
+    """State at rest (omega = 0) with steady fluxes for fixed angle and field voltage.
 
     With delta and u frozen the flux dynamics are linear, so the steady
-    point solves [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
+    fluxes solve [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
     """
-    L, _, r_diag = _assembled(params)
-    Linv = np.linalg.inv(L)
-    RM = np.diag(r_diag)
-    RM[0, 0:2] += [params.r11, -params.x11]
-    RM[1, 0:2] += [params.x11, params.r11]
-    K = RM @ Linv
-    K[0, 1] += 1.0
-    K[1, 0] -= 1.0
-    sin_d, cos_d = math.sin(delta), math.cos(delta)
-    w = np.array(
-        [
-            params.v_inf * (params.A * sin_d + params.B * cos_d),
-            -params.v_inf * (params.B * sin_d - params.A * cos_d),
-            u,
-            0.0,
-            0.0,
-        ]
-    )
-    return np.linalg.solve(K, -w)
+    _, _, K = _assembled(params)
+    w = np.array([*_bus_voltage(params, delta), u, 0.0, 0.0])
+    return np.concatenate(([delta, 0.0], np.linalg.solve(K, -w)))
 
 
-def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int = 1):
+def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int):
     """Field voltage putting the steady flux point at v_t = v_target.
 
     The steady fluxes are affine in u, so v_t(u)^2 is a convex quadratic.
     branch=1 selects the rightmost (overexcited) root, branch=0 the
     leftmost.  Returns None when v_target is unreachable at this angle.
     """
-    lam0 = _flux_for(params, delta, 0.0)
-    lam_u = _flux_for(params, delta, 1.0) - lam0
-
-    def dq_voltages(lam):
-        st = MachineState(delta, 0.0, lam)
-        ei = electrical_interface(st, 0.0, params)
-        return np.array([ei.v_d, ei.v_q])
-
-    w0 = dq_voltages(lam0)
-    wu = dq_voltages(lam0 + lam_u) - w0
+    x0 = _steady_state(params, delta, 0.0)
+    x_u = _steady_state(params, delta, 1.0) - x0
+    w0 = np.array(dq_voltages(x0, params)[1:])
+    wu = np.array(dq_voltages(x0 + x_u, params)[1:]) - w0
     a = float(wu @ wu)
     b = 2.0 * float(w0 @ wu)
     c = float(w0 @ w0) - v_target**2
@@ -261,9 +219,9 @@ def _coarse_equilibrium(params: MachineParams, v_target: float):
         u = _excitation_for(params, delta, v_target, branch)
         if u is None:
             return None, None
-        lam = _flux_for(params, delta, u)
-        ei = electrical_interface(MachineState(delta, 0.0, lam), u, params)
-        return ei.P_e, u
+        x = _steady_state(params, delta, u)
+        i = dq_currents(x[2:], params)
+        return x[2] * i[1] - x[3] * i[0], u
 
     grid = np.linspace(0.02, 2.60, 130)
     for branch in (1, 0):
@@ -290,28 +248,27 @@ def _coarse_equilibrium(params: MachineParams, v_target: float):
     raise EquilibriumError(f"no stable-branch equilibrium found for v_t = {v_target}")
 
 
-def find_equilibrium(params: MachineParams, v_target: float, initial_guess=None,
-                     tol: float = 1e-10, max_iter: int = 100):
+EQUILIBRIUM_TOL = 1e-10
+EQUILIBRIUM_MAX_ITER = 100
+
+
+def find_equilibrium(params: MachineParams, v_target: float):
     """Newton-Raphson for the operating point at terminal voltage v_target.
 
     Solves the 8 equations {state rates = 0, v_t = v_target} for the 7
-    states plus the field voltage.  Returns (MachineState, u_eq).
+    states plus the field voltage.  Returns (x, u_eq).
     """
-    if initial_guess is None:
-        delta0, u0 = _coarse_equilibrium(params, v_target)
-        y = np.concatenate(([delta0, 0.0], _flux_for(params, delta0, u0), [u0]))
-    else:
-        state0, u0 = initial_guess
-        y = np.concatenate((state0.as_vector(), [u0]))
+    delta0, u0 = _coarse_equilibrium(params, v_target)
+    y = np.append(_steady_state(params, delta0, u0), u0)
 
     def full_residual(vec):
-        st = MachineState.from_vector(vec[:7])
-        d = derivatives(st, float(vec[7]), params)
-        return np.concatenate((d, [terminal_voltage(st, params) - v_target]))
+        x = vec[:7]
+        d = derivatives(x, float(vec[7]), params)
+        return np.concatenate((d, [terminal_voltage(x, params) - v_target]))
 
     r = full_residual(y)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol:
+    for _ in range(EQUILIBRIUM_MAX_ITER):
+        if np.max(np.abs(r)) <= EQUILIBRIUM_TOL:
             break
         jac = np.empty((8, 8))
         for j in range(8):
@@ -335,16 +292,13 @@ def find_equilibrium(params: MachineParams, v_target: float, initial_guess=None,
         else:
             raise EquilibriumError(f"line search stalled, residual {base:.3e}")
     else:
-        raise EquilibriumError(
-            f"no convergence in {max_iter} iterations, residual {np.max(np.abs(r)):.3e}"
-        )
+        raise EquilibriumError(f"no convergence in {EQUILIBRIUM_MAX_ITER} iterations, "
+                               f"residual {np.max(np.abs(r)):.3e}")
     y[1] = 0.0  # ddelta = omega = 0 holds exactly at any equilibrium
-    state = MachineState.from_vector(y[:7])
-    u_eq = float(y[7])
     res = np.max(np.abs(full_residual(y)))
-    if res > tol:
-        raise EquilibriumError(f"residual {res:.3e} above tolerance {tol}")
-    return state, u_eq
+    if res > EQUILIBRIUM_TOL:
+        raise EquilibriumError(f"residual {res:.3e} above tolerance {EQUILIBRIUM_TOL}")
+    return y[:7].copy(), float(y[7])
 
 
 @dataclass
@@ -354,7 +308,6 @@ class LinearModel:
     a_mat: np.ndarray   # 7x7
     b_vec: np.ndarray   # 7x1
     c_vec: np.ndarray   # 1x7
-    d_scal: float
     zeros: list
 
     @property
@@ -363,19 +316,11 @@ class LinearModel:
         return float((self.c_vec @ self.b_vec)[0, 0])
 
 
-def linearize(params: MachineParams, eq_state: MachineState, eq_u: float) -> LinearModel:
+def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
     """Central finite-difference linearization and transmission zeros."""
-    resid = np.max(np.abs(derivatives(eq_state, eq_u, params)))
+    resid = np.max(np.abs(derivatives(x0, eq_u, params)))
     if resid > 1e-8:
         raise ValueError(f"point is not an equilibrium (residual {resid:.3e})")
-
-    x0 = eq_state.as_vector()
-
-    def f(x, u):
-        return derivatives(MachineState.from_vector(x), u, params)
-
-    def h(x):
-        return terminal_voltage(MachineState.from_vector(x), params)
 
     a_mat = np.empty((7, 7))
     c_vec = np.empty((1, 7))
@@ -384,13 +329,14 @@ def linearize(params: MachineParams, eq_state: MachineState, eq_u: float) -> Lin
         xp, xm = x0.copy(), x0.copy()
         xp[j] += step
         xm[j] -= step
-        a_mat[:, j] = (f(xp, eq_u) - f(xm, eq_u)) / (2.0 * step)
-        c_vec[0, j] = (h(xp) - h(xm)) / (2.0 * step)
+        a_mat[:, j] = (derivatives(xp, eq_u, params) - derivatives(xm, eq_u, params)) / (2.0 * step)
+        c_vec[0, j] = (terminal_voltage(xp, params) - terminal_voltage(xm, params)) / (2.0 * step)
     step = max(1e-6 * abs(eq_u), 1e-8)
-    b_vec = ((f(x0, eq_u + step) - f(x0, eq_u - step)) / (2.0 * step)).reshape(7, 1)
-    d_scal = float((h(x0) - h(x0)) / 1.0)  # output map has no feedthrough
+    b_vec = ((derivatives(x0, eq_u + step, params) - derivatives(x0, eq_u - step, params))
+             / (2.0 * step)).reshape(7, 1)
 
-    pencil_a = np.block([[a_mat, b_vec], [c_vec, np.array([[d_scal]])]])
+    # the output map has no feedthrough, so the pencil's corner is zero
+    pencil_a = np.block([[a_mat, b_vec], [c_vec, np.zeros((1, 1))]])
     pencil_b = np.zeros((8, 8))
     pencil_b[:7, :7] = np.eye(7)
     with warnings.catch_warnings():
@@ -402,7 +348,7 @@ def linearize(params: MachineParams, eq_state: MachineState, eq_u: float) -> Lin
             f"transmission-zero pencil looks ill-conditioned: {len(zeros)} finite zeros",
             RuntimeWarning,
         )
-    return LinearModel(a_mat=a_mat, b_vec=b_vec, c_vec=c_vec, d_scal=d_scal, zeros=zeros)
+    return LinearModel(a_mat=a_mat, b_vec=b_vec, c_vec=c_vec, zeros=zeros)
 
 
 @dataclass(frozen=True)

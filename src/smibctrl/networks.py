@@ -282,9 +282,12 @@ def save_weights(path, f_net: Mlp, g_net: Mlp) -> None:
 
 def load_weights(path):
     """Read a save_weights file; a malformed file or a non-finite weight is a ConfigError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        lines = [line for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if len(header) != 3 or header[0] != WEIGHT_FORMAT:
         raise ConfigError(f"{path}: not a {WEIGHT_FORMAT} weight file")
     try:
@@ -293,8 +296,11 @@ def load_weights(path):
         values = np.array([float(line) for line in lines])
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed weight file: {exc}") from exc
+    if n_in != REGRESSOR_LEN:
+        raise ConfigError(f"{path}: networks take in={REGRESSOR_LEN} regressor inputs, "
+                          f"file has in={n_in}")
     expected = 2 * (p * n_in + 2 * p + 1)
-    if min(p, n_in) < 0 or len(values) != expected:
+    if p < 0 or len(values) != expected:
         raise ConfigError(f"{path}: expected {expected} values for p={p} in={n_in}, "
                           f"found {len(values)}")
     if not np.all(np.isfinite(values)):

@@ -191,8 +191,8 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Simulate one scripted closed-loop experiment."""
     params = machine.load_machine_config(cfg.machine_path)
     ctrl_cfg = load_controller_config(cfg.controller_path)
-    eq_state, u_eq = machine.find_equilibrium(params, cfg.v_ref)
-    y_eq = machine.terminal_voltage(eq_state, params)
+    x, u_eq = machine.find_equilibrium(params, cfg.v_ref)
+    y_eq = machine.terminal_voltage(x, params)
 
     controller = None
     poles = pss = dz = None
@@ -215,7 +215,6 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     micro_dt = cfg.dt_control / MICRO_STEPS
     pending = sorted(cfg.events, key=lambda e: e.time)
     v_ref = cfg.v_ref
-    state = eq_state.copy()
     cols = {name: np.zeros(n_steps) for name in TRACE_COLUMNS}
 
     for k in range(n_steps):
@@ -224,11 +223,11 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
             params, new_ref = _apply_event(params, pending.pop(0))
             if new_ref is not None:
                 v_ref = new_ref
-        v_t = machine.terminal_voltage(state, params)
+        v_t = machine.terminal_voltage(x, params)
         e_star = 0.0
         adapted = 0.0
         if ctrl_cfg.kind == "neural":
-            slip = state.omega / params.omega_b
+            slip = x[1] / params.omega_b
             u_pert, controller = control_step(controller, v_ref, v_t, slip, poles, pss, dz)
             e_star = controller.last_e_star
             adapted = float(controller.last_adapted)
@@ -241,13 +240,13 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         cols["v_ref"][k] = v_ref
         cols["v_t"][k] = v_t
         cols["v_f"][k] = u
-        cols["delta"][k] = state.delta
-        cols["omega"][k] = state.omega
+        cols["delta"][k] = x[0]
+        cols["omega"][k] = x[1]
         cols["e_star"][k] = e_star
         cols["adapted"][k] = adapted
         try:
             for _ in range(MICRO_STEPS):
-                state = machine.rk4_step(state, u, micro_dt, params)
+                x = machine.rk4_step(x, u, micro_dt, params)
         except machine.DivergenceError as exc:
             raise machine.DivergenceError(f"scenario diverged at t = {t:.4f} s") from exc
     return Trace(**cols)

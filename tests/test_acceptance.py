@@ -6,6 +6,7 @@ identification-quality check trains from scratch at desk scale.
 """
 
 import filecmp
+import os
 import time
 
 import numpy as np
@@ -19,7 +20,8 @@ from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_valid
                                excite_and_record, split)
 from smibctrl.networks import (Mlp, lm_train, narx_predict, theta_flatten,
                                theta_unflatten, weight_jacobian)
-from smibctrl.scenarios import damping_metric, parse_scenario, run_oracle_loop, run_scenario
+from smibctrl.scenarios import (TRACE_COLUMNS, Trace, damping_metric, parse_scenario,
+                                run_oracle_loop, run_scenario)
 
 from conftest import config_path
 from test_scenarios import oracle_residuals, synthetic_f, synthetic_g
@@ -212,3 +214,25 @@ def test_criterion_10_determinism(tmp_path):
     assert cli_dispatch(["simulate", "--config", scen, "--out", str(t2)]) == 0
     assert filecmp.cmp(t1, t2, shallow=False)
     verdict(10, "determinism", "train and simulate outputs bitwise identical")
+
+
+SHIPPED_TRACES = {
+    "scen_step_nominal_neural.cfg": "step_nominal_neural.csv",
+    "scen_step_nominal_st1a.cfg": "step_nominal_st1a.csv",
+    "scen_pss_step.cfg": "pss_step_nu3.csv",
+    "scen_pss_step_nu0.cfg": "pss_step_nu0.csv",
+    "scen_h_drift.cfg": "h_drift.csv",
+    "scen_pm_drop.cfg": "pm_drop.csv",
+}
+
+
+def test_shipped_result_traces_reproduced(scenario_trace):
+    # the scenarios simulated above, against their committed results/*.csv
+    results = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "results")
+    for scenario, csv in SHIPPED_TRACES.items():
+        trace = scenario_trace(scenario)
+        shipped = Trace.from_csv(os.path.join(results, csv))
+        assert len(trace) == len(shipped), csv
+        worst = max(float(np.max(np.abs(getattr(trace, c) - getattr(shipped, c))))
+                    for c in TRACE_COLUMNS)
+        assert worst <= 1e-10, f"{csv}: max |diff| {worst:.3e}"

@@ -198,6 +198,26 @@ def _bad_dataset(tmp_path):
     return _train_on(tmp_path, "", dataset=data)
 
 
+def _non_utf8_config(tmp_path):
+    cfg = tmp_path / "i.cfg"
+    cfg.write_bytes(b"hold = 2\n# \xff\n")
+    return ["identify", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
+
+
+def _non_utf8_dataset(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"k,u,y\n0,0.1,1.1\xff\n")
+    return _train_on(tmp_path, "", dataset=data)
+
+
+def _non_utf8_weights(tmp_path):
+    weights = tmp_path / "w.nwt"
+    weights.write_bytes(b"narx-v1 p=0 in=13\n\xff\n0.0\n")
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\nweights = {weights}\n")
+    return ["validate", "--config", str(cfg)]
+
+
 BAD_INPUTS = {
     "identify hold 0": lambda tmp: _identify_with(tmp, "hold = 0\n"),
     "identify seed -1": lambda tmp: _identify_with(tmp, "n_samples = 100\nseed = -1\n"),
@@ -211,6 +231,11 @@ BAD_INPUTS = {
     "scenario scale_H 0": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H 0\n"),
     "weight non-numeric": lambda tmp: _validate_with_weights(tmp, "narx-v1 p=0 in=13\n1.0\nabc\n"),
     "weight nan": lambda tmp: _validate_with_weights(tmp, "narx-v1 p=0 in=13\nnan\n0.0\n"),
+    "weight in=2": lambda tmp: _validate_with_weights(
+        tmp, "narx-v1 p=1 in=2\n" + "0.5\n" * 10),
+    "config not UTF-8": _non_utf8_config,
+    "dataset not UTF-8": _non_utf8_dataset,
+    "weight not UTF-8": _non_utf8_weights,
     "dataset non-numeric": _bad_dataset,
     "trace non-numeric": lambda tmp: _compare_trace(tmp, "0,1,1,1,0,0,0,x\n"),
     "trace short row": lambda tmp: _compare_trace(tmp, "0,1,1\n"),

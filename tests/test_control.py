@@ -203,7 +203,7 @@ def test_pss_zero_reduces_to_plain_linearizing_loop():
         dd = rng.normal()
         u_a, _ = control_step(ctrl_a, 1.0, y, dd, spec, PssConfig(nu=0.0), dz)
         u_b, _ = control_step(ctrl_b, 1.0, y, 0.0, spec, PssConfig(nu=3.0), dz)
-        # with nu = 0 the rotor-speed input is irrelevant; with delta_dot = 0
+        # with nu = 0 the slip input is irrelevant; with zero slip
         # the augmented law collapses to the plain one
         assert u_a == u_b
 

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smibctrl.configio import (Key, fields_schema, parse_float, parse_str, read_config,
+                               read_table, resolve_path)
 from smibctrl.identify import (ExcitationPlan, ValidationReport, build_regression_set,
                                cross_validate, excite_and_record, select_deadzone, split)
+from smibctrl.machine import load_machine_config
 from smibctrl.networks import Dataset, Mlp, lm_train, predict_batch
+
+from conftest import config_path
 
 
 def test_plan_validation():
@@ -33,6 +38,20 @@ def test_excitation_deterministic(ref_params, short_recording):
     u1, y1 = short_recording
     u2, y2 = excite_and_record(ref_params, ExcitationPlan(n_samples=400, seed=5))
     assert np.array_equal(u1, u2) and np.array_equal(y1, y2)
+
+
+def test_recording_reproduces_shipped_dataset():
+    # the first 2 000 samples of identify_ref.cfg's plan against dataset_ref.csv
+    cfg = config_path("identify_ref.cfg")
+    values = read_config(cfg, "identify", {"machine": Key(parse_str),
+                                           "v_target": Key(parse_float),
+                                           **fields_schema(ExcitationPlan)})
+    params = load_machine_config(resolve_path(cfg, values.pop("machine")))
+    v_target = values.pop("v_target")
+    u, y = excite_and_record(params, ExcitationPlan(**{**values, "n_samples": 2000}), v_target)
+    shipped = read_table(config_path("dataset_ref.csv"), ("k", "u", "y"), "dataset")[:2000]
+    assert np.max(np.abs(u - shipped[:, 1])) <= 1e-10
+    assert np.max(np.abs(y - shipped[:, 2])) <= 1e-10
 
 
 def test_excitation_hold_pattern(short_recording):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from smibctrl import machine
 from smibctrl.configio import ConfigError
-from smibctrl.machine import (MachineParams, MachineState, St1aConfig, derivatives,
-                              dq_currents, electrical_interface, find_equilibrium,
-                              inductance_matrix, linearize, load_machine_config,
-                              rk4_step, st1a_control, terminal_voltage)
+from smibctrl.machine import (MachineParams, St1aConfig, derivatives, dq_currents,
+                              dq_voltages, find_equilibrium, inductance_matrix, linearize,
+                              load_machine_config, rk4_step, st1a_control, terminal_voltage)
 
 from conftest import config_path
 
@@ -44,8 +43,8 @@ def test_dq_currents_diagonal_pattern():
 
 def test_dq_currents_vs_cramer_oracle(ref_params, nominal_eq):
     state, _ = nominal_eq
-    i = dq_currents(state.lam, ref_params)
-    expected = cramer_solve(inductance_matrix(ref_params), state.lam)
+    i = dq_currents(state[2:], ref_params)
+    expected = cramer_solve(inductance_matrix(ref_params), state[2:])
     assert np.max(np.abs(i - expected)) <= 1e-12
 
 
@@ -66,27 +65,25 @@ def test_singular_inductance_rejected():
 def test_electrical_interface_345_triangle():
     # A, B chosen so the bus terms alone give v_d = 3, v_q = 4 at delta = 0
     p = MachineParams(A=4.0, B=3.0, r11=0.0, x11=0.0)
-    ei = electrical_interface(MachineState(0.0, 0.0, np.zeros(5)), 0.0, p)
-    assert (ei.v_d, ei.v_q) == (3.0, 4.0)
-    assert ei.v_t == 5.0
+    _, v_d, v_q = dq_voltages(np.zeros(7), p)
+    assert (v_d, v_q) == (3.0, 4.0)
+    assert terminal_voltage(np.zeros(7), p) == 5.0
 
 
 def test_electrical_interface_zero_voltage():
     p = MachineParams(A=0.0, B=0.0, v_inf=0.0)
-    ei = electrical_interface(MachineState(0.3, 0.0, np.zeros(5)), 0.0, p)
-    assert ei.v_t == 0.0
+    assert terminal_voltage(np.concatenate(([0.3, 0.0], np.zeros(5))), p) == 0.0
 
 
 def test_equilibrium_terminal_voltage(ref_params, nominal_eq):
     state, u_eq = nominal_eq
-    ei = electrical_interface(state, u_eq, ref_params)
-    assert abs(ei.v_t - 1.1392) <= 1e-8
+    assert abs(terminal_voltage(state, ref_params) - 1.1392) <= 1e-8
 
 
 def test_derivatives_angle_rate_is_omega(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     for omega in (0.0, 0.37, -2.1):
-        st = MachineState(state.delta, omega, state.lam)
+        st = np.concatenate(([state[0], omega], state[2:]))
         assert derivatives(st, u_eq, ref_params)[0] == omega
 
 
@@ -95,8 +92,8 @@ def test_derivatives_torque_balance(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     d = derivatives(state, u_eq, ref_params)
     assert abs(d[1]) <= 1e-9
-    ei = electrical_interface(state, u_eq, ref_params)
-    assert abs(ei.P_e - ref_params.P_m) <= 1e-8
+    i, _, _ = dq_voltages(state, ref_params)
+    assert abs(state[2] * i[1] - state[3] * i[0] - ref_params.P_m) <= 1e-8
 
 
 def test_derivatives_vanish_at_equilibrium(ref_params, nominal_eq):
@@ -107,7 +104,7 @@ def test_derivatives_vanish_at_equilibrium(ref_params, nominal_eq):
 def test_rk4_fixed_point(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     stepped = rk4_step(state, u_eq, 5e-4, ref_params)
-    assert np.max(np.abs(stepped.as_vector() - state.as_vector())) <= 1e-12
+    assert np.max(np.abs(stepped - state)) <= 1e-12
 
 
 def test_rk4_requires_positive_dt(ref_params, nominal_eq):
@@ -119,7 +116,7 @@ def test_rk4_requires_positive_dt(ref_params, nominal_eq):
 def integrate(state, u, h, t_total, params):
     for _ in range(int(round(t_total / h))):
         state = rk4_step(state, u, h, params)
-    return state.as_vector()
+    return state
 
 
 def test_rk4_self_convergence_order(ref_params, nominal_eq):
@@ -135,12 +132,12 @@ def test_rk4_self_convergence_order(ref_params, nominal_eq):
 def test_rk4_step_doubling(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     u = u_eq + 0.05
-    single = rk4_step(state, u, 5e-4, ref_params).as_vector()
-    halved = rk4_step(rk4_step(state, u, 2.5e-4, ref_params), u, 2.5e-4, ref_params).as_vector()
+    single = rk4_step(state, u, 5e-4, ref_params)
+    halved = rk4_step(rk4_step(state, u, 2.5e-4, ref_params), u, 2.5e-4, ref_params)
     diff_h = np.max(np.abs(single - halved))
     assert diff_h <= 2e-7
-    single2 = rk4_step(state, u, 2.5e-4, ref_params).as_vector()
-    halved2 = rk4_step(rk4_step(state, u, 1.25e-4, ref_params), u, 1.25e-4, ref_params).as_vector()
+    single2 = rk4_step(state, u, 2.5e-4, ref_params)
+    halved2 = rk4_step(rk4_step(state, u, 1.25e-4, ref_params), u, 1.25e-4, ref_params)
     diff_h2 = np.max(np.abs(single2 - halved2))
     assert diff_h / diff_h2 >= 12.0  # local error drops at least ~order 3.5
 
@@ -151,7 +148,7 @@ def test_find_equilibrium_definitional(ref_params):
         resid = np.concatenate((derivatives(state, u_eq, ref_params),
                                 [terminal_voltage(state, ref_params) - v_target]))
         assert np.max(np.abs(resid)) <= 1e-10
-        assert state.omega == 0.0
+        assert state[1] == 0.0
 
 
 def test_find_equilibrium_reports_failure(ref_params):
@@ -166,12 +163,11 @@ def test_linearize_angle_row(ref_params, nominal_eq):
     assert model.a_mat.shape == (7, 7)
     assert model.b_vec.shape == (7, 1)
     assert model.c_vec.shape == (1, 7)
-    assert model.d_scal == 0.0
 
 
 def test_linearize_rejects_non_equilibrium(ref_params, nominal_eq):
     state, u_eq = nominal_eq
-    bad = MachineState(state.delta + 0.2, state.omega, state.lam)
+    bad = np.concatenate(([state[0] + 0.2, state[1]], state[2:]))
     with pytest.raises(ValueError):
         linearize(ref_params, bad, u_eq)
 
@@ -230,13 +226,13 @@ def test_machine_params_validation():
 def test_speed_coupled_z_flag(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     coupled = dataclasses.replace(ref_params, speed_coupled_z=True)
-    spinning = MachineState(state.delta, 2.0, state.lam)
+    spinning = np.concatenate(([state[0], 2.0], state[2:]))
     base = derivatives(spinning, u_eq, ref_params)
     alt = derivatives(spinning, u_eq, coupled)
     # the speed-voltage terms scale by (1 + omega/omega_b)
     scale = 1.0 + 2.0 / ref_params.omega_b
     assert alt[2] - base[2] == pytest.approx(
-        ref_params.omega_b * (scale - 1.0) * spinning.lam[1], rel=1e-9)
+        ref_params.omega_b * (scale - 1.0) * spinning[2:][1], rel=1e-9)
     # at omega = 0 both couplings agree
     assert np.array_equal(derivatives(state, u_eq, coupled),
                           derivatives(state, u_eq, ref_params))
