@@ -210,7 +210,7 @@ def cli_dispatch(argv) -> int:
         return EXIT_CONFIG
     except (machine.EquilibriumError, machine.DivergenceError,
             machine.SingularInductanceError, networks.TrainingError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+            FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

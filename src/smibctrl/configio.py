@@ -8,6 +8,7 @@ are CSV tables of numbers under a fixed header.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import MISSING, fields
 from typing import Callable, NamedTuple
@@ -95,10 +96,14 @@ def parse_str(key, value) -> str:
 
 
 def parse_float(key, value) -> float:
+    """A finite float; `nan` and `inf` are config errors."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number: {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r}: not a finite number: {value!r}")
+    return number
 
 
 def parse_int(key, value) -> int:

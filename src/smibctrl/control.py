@@ -200,7 +200,7 @@ class ControllerState:
     g_min: float
     adaptation_enabled: bool = True
     last_prediction: float | None = None
-    last_jacobian: np.ndarray | None = None
+    last_regressor: np.ndarray | None = None
     last_e_star: float = 0.0
     last_adapted: bool = False
 
@@ -235,7 +235,8 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float,
     Adapts the model from the previous instant's prediction error, then
     forms the regressor, inverts the model through the pole-placement
     outer loop, augments with the damping term and records the prediction
-    for the next instant.  Returns (u, ctrl) with ctrl updated in place.
+    and its regressor for the next instant.  Returns (u, ctrl) with ctrl
+    updated in place.
     """
     ctrl.last_adapted = False
     ctrl.last_e_star = 0.0
@@ -244,9 +245,9 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float,
         ctrl.last_e_star = float(e_star)
         if ctrl.adaptation_enabled and ctrl.model.adaptable:
             if abs(e_star) > dz.d0:
-                ctrl.model.theta = online_update(
-                    ctrl.model.theta, ctrl.last_jacobian, e_star, dz.d0
-                )
+                # theta has not moved since the prediction, and u(k-1) is u_hist[0]
+                jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
+                ctrl.model.theta = online_update(ctrl.model.theta, jac, e_star, dz.d0)
                 ctrl.last_adapted = True
 
     ctrl.y_hist = np.concatenate(([y_meas], ctrl.y_hist[:-1]))
@@ -259,7 +260,6 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float,
         raise FloatingPointError("control input is not finite")
 
     ctrl.last_prediction = f_hat + g_hat * u
-    if ctrl.adaptation_enabled and ctrl.model.adaptable:
-        ctrl.last_jacobian = ctrl.model.jacobian(z, u)
+    ctrl.last_regressor = z
     ctrl.u_hist = np.concatenate(([u], ctrl.u_hist[:-1]))
     return u, ctrl

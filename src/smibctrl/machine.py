@@ -70,8 +70,8 @@ class MachineParams:
     speed_coupled_z: bool = False    # instantaneous speed in the speed-voltage terms
 
     def __post_init__(self):
-        if not self.H > 0.0:
-            raise ValueError(f"H must be positive, got {self.H}")
+        if not 0.0 < self.H < math.inf:
+            raise ValueError(f"H must be positive and finite, got {self.H}")
         if not self.omega_b > 0.0:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
         _assembled(self)  # raises SingularInductanceError on a bad L
@@ -113,7 +113,10 @@ def _assembled(params: MachineParams):
 def dq_currents(lam, params: MachineParams) -> np.ndarray:
     """Winding currents solving L i = lambda."""
     lu, _, _ = _assembled(params)
-    return linalg.lu_solve(lu, np.asarray(lam, dtype=float))
+    try:
+        return linalg.lu_solve(lu, np.asarray(lam, dtype=float))
+    except ValueError as exc:  # lu_solve's own check for a non-finite flux
+        raise DivergenceError(f"winding fluxes are not finite: {exc}") from exc
 
 
 def _bus_voltage(params: MachineParams, delta: float):
@@ -337,6 +340,8 @@ def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
 
     # the output map has no feedthrough, so the pencil's corner is zero
     pencil_a = np.block([[a_mat, b_vec], [c_vec, np.zeros((1, 1))]])
+    if not np.all(np.isfinite(pencil_a)):
+        raise DivergenceError("finite-difference small-signal model is not finite")
     pencil_b = np.zeros((8, 8))
     pencil_b[:7, :7] = np.eye(7)
     with warnings.catch_warnings():

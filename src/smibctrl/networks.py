@@ -74,7 +74,7 @@ def mlp_forward(net: Mlp, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (net.n_in,):
         raise ValueError(f"regressor length {z.shape} does not match network input {net.n_in}")
-    return float(net.out_w @ np.tanh(net.hidden_w @ z + net.hidden_b) + net.out_b)
+    return float(_forward_batch(net, z[None])[0])
 
 
 def narx_predict(f_net: Mlp, g_net: Mlp, z, u: float) -> float:
@@ -122,19 +122,12 @@ def theta_unflatten(theta, p_f: int, p_g: int, n_in: int = REGRESSOR_LEN):
     return nets[0], nets[1]
 
 
-def _net_gradient(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """d(output)/d(params) in flat layout for one network."""
-    t = np.tanh(net.hidden_w @ z + net.hidden_b)
-    s = net.out_w * (1.0 - t * t)
-    return np.concatenate((np.outer(s, z).ravel(), s, t, [1.0]))
-
-
 def weight_jacobian(f_net: Mlp, g_net: Mlp, z, u: float) -> np.ndarray:
     """Gradient of the one-step prediction w.r.t. the joint parameter vector."""
     z = np.asarray(z, dtype=float)
     if z.shape != (f_net.n_in,) or z.shape != (g_net.n_in,):
         raise ValueError("regressor length does not match the networks")
-    return np.concatenate((_net_gradient(f_net, z), u * _net_gradient(g_net, z)))
+    return _jacobian_batch(f_net, g_net, z[None], np.array([float(u)]))[0]
 
 
 # --- dataset ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from .control import (ControllerState, DeadzoneConfig, ExactPlantModel,
                       NeuralPlantModel, PolePlacement, PssConfig, control_step,
                       synthesize_poly)
 from .identify import MICRO_STEPS
-from .networks import load_weights, N_LAGS_Y
+from .networks import N_LAGS_U, N_LAGS_Y, load_weights, make_regressor
 
 TRACE_COLUMNS = ("t", "v_ref", "v_t", "v_f", "delta", "omega", "e_star", "adapted")
 
@@ -181,7 +181,10 @@ def parse_scenario(path) -> ScenarioConfig:
 
 def _apply_event(params, event: Event):
     if event.action == "scale_H":
-        return machine.scale_inertia(params, event.value), None
+        try:
+            return machine.scale_inertia(params, event.value), None
+        except ValueError as exc:  # repeated factors can take H to 0 or inf
+            raise ScenarioError(f"scale_H at t = {event.time:g} s: {exc}") from exc
     if event.action == "set_Pm":
         return machine.set_mechanical_power(params, event.value), None
     return params, event.value  # set_vref
@@ -199,7 +202,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     if ctrl_cfg.kind == "neural":
         f_net, g_net = load_weights(ctrl_cfg.weights_path)
         model = NeuralPlantModel(f_net, g_net)
-        z_eq = np.concatenate((np.full(N_LAGS_Y, y_eq), np.zeros(6)))
+        z_eq = make_regressor(np.full(N_LAGS_Y, y_eq), np.zeros(N_LAGS_U))
         g_min = ctrl_cfg.g_min
         if g_min is None:
             g_min = max(0.1 * abs(model.g(z_eq)), 1e-9)
@@ -267,16 +270,12 @@ def run_oracle_loop(placement: PolePlacement, f_fun, g_fun, r_series,
     )
     pss = PssConfig(nu=0.0)
     dz = DeadzoneConfig(d0=0.0)
-    y_hist = np.full(N_LAGS_Y, float(y0))
-    u_hist = np.zeros(6)
     y = float(y0)
     cols = {name: np.zeros(n) for name in TRACE_COLUMNS}
     for k in range(n):
         u, ctrl = control_step(ctrl, float(r_series[k]), y, 0.0, placement, pss, dz)
-        y_hist = np.concatenate(([y], y_hist[:-1]))
-        z = np.concatenate((y_hist, u_hist))
+        z = ctrl.last_regressor
         y_next = float(f_fun(z)) + float(g_fun(z)) * u
-        u_hist = np.concatenate(([u], u_hist[:-1]))
         cols["t"][k] = k
         cols["v_ref"][k] = r_series[k]
         cols["v_t"][k] = y

@@ -223,6 +223,8 @@ SHIPPED_TRACES = {
     "scen_pss_step_nu0.cfg": "pss_step_nu0.csv",
     "scen_h_drift.cfg": "h_drift.csv",
     "scen_pm_drop.cfg": "pm_drop.csv",
+    "scen_step_far_neural.cfg": "step_far_neural.csv",
+    "scen_big_swing.cfg": "big_swing.csv",
 }
 
 

@@ -1,10 +1,15 @@
 import filecmp
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smibctrl.cli import cli_dispatch
+from smibctrl.machine import MachineParams
+from smibctrl.scenarios import EVENT_ACTIONS
 
 from conftest import config_path
 
@@ -138,26 +143,38 @@ def test_config_error_exits_2(tmp_path, capsys):
                          "--out", str(tmp_path / "t.csv")]) == 2
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    scen = tmp_path / "s.cfg"
-    scen.write_text(
-        f"machine = {config_path('machine_ref.cfg')}\n"
-        f"controller = {config_path('ctrl_none.cfg')}\n"
-        "t_end = 0.5\n"
-        "v_ref = 0.2\n"  # no synchronized operating point this low
-    )
-    assert cli_dispatch(["simulate", "--config", str(scen), "--out",
-                         str(tmp_path / "t.csv")]) == 3
-
-
-TRACE_HEADER = "t,v_ref,v_t,v_f,delta,omega,e_star,adapted\n"
-
-
 def _simulate(tmp_path, scenario_lines, controller=config_path("ctrl_none.cfg")):
     scen = tmp_path / "s.cfg"
     scen.write_text(f"machine = {config_path('machine_ref.cfg')}\n"
                     f"controller = {controller}\n{scenario_lines}")
     return ["simulate", "--config", str(scen), "--out", str(tmp_path / "t.csv")]
+
+
+def _minphase(tmp_path, machine_lines):
+    (tmp_path / "m.cfg").write_text(machine_lines)
+    cfg = tmp_path / "mp.cfg"
+    cfg.write_text("machine = m.cfg\nv_target = 1.1392\n")
+    return ["minphase", "--config", str(cfg)]
+
+
+NUMERICAL_FAILURES = {
+    # no synchronized operating point this low
+    "scenario v_ref 0.2": lambda tmp: _simulate(tmp, "t_end = 0.5\nv_ref = 0.2\n"),
+    "scenario v_ref 1e200": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = 1e200\n"),
+    "event set_vref 1e308": lambda tmp: _simulate(
+        tmp, "t_end = 0.1\nevent = 0.05 set_vref 1e308\n", config_path("ctrl_st1a.cfg")),
+    "machine x11 1e308": lambda tmp: _minphase(tmp, "x11 = 1e308\n"),
+    "machine D 1e308": lambda tmp: _minphase(tmp, "D = 1e308\n"),
+}
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    for case, argv in NUMERICAL_FAILURES.items():
+        assert cli_dispatch(argv(tmp_path)) == 3, case
+        assert "numerical failure" in capsys.readouterr().err, case
+
+
+TRACE_HEADER = "t,v_ref,v_t,v_f,delta,omega,e_star,adapted\n"
 
 
 def _simulate_with_controller(tmp_path, ctrl_text):
@@ -229,6 +246,20 @@ BAD_INPUTS = {
         tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\ng_min = -1\n"),
     "scenario t_end -1": lambda tmp: _simulate(tmp, "t_end = -1\n"),
     "scenario scale_H 0": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H 0\n"),
+    "scenario v_ref nan": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = nan\n"),
+    "scenario v_ref inf": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = inf\n"),
+    "scenario set_vref inf": lambda tmp: _simulate(
+        tmp, "t_end = 0.1\nevent = 0.05 set_vref inf\n", config_path("ctrl_st1a.cfg")),
+    "scenario scale_H inf": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H inf\n"),
+    "scenario scale_H underflow": lambda tmp: _simulate(
+        tmp, "t_end = 0.1\nevent = 0.05 scale_H 5e-324\nevent = 0.05 scale_H 5e-324\n"),
+    "scenario scale_H overflow": lambda tmp: _simulate(
+        tmp, "t_end = 0.1\nevent = 0.05 scale_H 1e200\nevent = 0.05 scale_H 1e200\n"),
+    "machine v_inf inf": lambda tmp: _minphase(tmp, "v_inf = inf\n"),
+    "machine r11 inf": lambda tmp: _minphase(tmp, "r11 = inf\n"),
+    "machine A inf": lambda tmp: _minphase(tmp, "A = inf\n"),
+    "machine B nan": lambda tmp: _minphase(tmp, "B = nan\n"),
+    "machine H inf": lambda tmp: _minphase(tmp, "H = inf\n"),
     "weight non-numeric": lambda tmp: _validate_with_weights(tmp, "narx-v1 p=0 in=13\n1.0\nabc\n"),
     "weight nan": lambda tmp: _validate_with_weights(tmp, "narx-v1 p=0 in=13\nnan\n0.0\n"),
     "weight in=2": lambda tmp: _validate_with_weights(
@@ -246,3 +277,31 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(tmp_path, capsys, case):
     assert cli_dispatch(BAD_INPUTS[case](tmp_path)) == 2
     assert "config error" in capsys.readouterr().err
+
+
+FUZZ_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "5e-324",
+                               "2.2e-308", "0", "-1", "-0.5", "0.5", "2"])
+MACHINE_KEYS = [f.name for f in fields(MachineParams) if f.type == "float"]
+FUZZ_CONTROLLERS = ["ctrl_st1a.cfg", "ctrl_none.cfg", "ctrl_neural_default.cfg"]
+
+
+def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
+    # t_end = 0.02 (ten control instants) caps the time of each simulate run
+    tmp = tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.sampled_from(MACHINE_KEYS), FUZZ_VALUES, min_size=1, max_size=3))
+    def minphase(machine_values):
+        lines = "".join(f"{key} = {value}\n" for key, value in machine_values.items())
+        assert cli_dispatch(_minphase(tmp, lines)) in (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FUZZ_CONTROLLERS), st.one_of(st.none(), FUZZ_VALUES),
+           st.lists(st.tuples(st.sampled_from(EVENT_ACTIONS), FUZZ_VALUES), max_size=2))
+    def simulate(controller, v_ref, events):
+        lines = "t_end = 0.02\n" + (f"v_ref = {v_ref}\n" if v_ref is not None else "")
+        lines += "".join(f"event = 0.01 {action} {value}\n" for action, value in events)
+        assert cli_dispatch(_simulate(tmp, lines, config_path(controller))) in (0, 2, 3)
+
+    minphase()
+    simulate()

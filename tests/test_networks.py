@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl.networks import (Dataset, Mlp, lm_train, load_weights, make_regressor,
-                               mlp_forward, mse_cost, narx_predict, predict_batch,
-                               save_weights, theta_flatten, theta_unflatten,
+from smibctrl.networks import (Dataset, Mlp, _jacobian_batch, lm_train, load_weights,
+                               make_regressor, mlp_forward, mse_cost, narx_predict,
+                               predict_batch, save_weights, theta_flatten, theta_unflatten,
                                weight_jacobian)
 
 
@@ -134,8 +134,10 @@ def fd_jacobian(f_net, g_net, z, u, h=1e-6):
 
 
 def test_jacobian_matches_finite_differences():
+    # the controller's single-row weight_jacobian and LM's multi-row _jacobian_batch
     rng = np.random.default_rng(11)
-    worst = 0.0
+    others = np.random.default_rng(12)
+    worst = worst_single = 0.0
     for _ in range(10):
         f_net, g_net = Mlp.random(5, rng=rng), Mlp.random(5, rng=rng)
         z = rng.uniform(-1.5, 1.5, size=13)
@@ -143,7 +145,16 @@ def test_jacobian_matches_finite_differences():
         analytic = weight_jacobian(f_net, g_net, z, u)
         numeric = fd_jacobian(f_net, g_net, z, u)
         worst = max(worst, np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric)))
+        Z = np.vstack((others.uniform(-1.5, 1.5, size=13), z, others.uniform(-1.5, 1.5, size=13)))
+        U = np.array([others.uniform(-1.0, 1.0), u, others.uniform(-1.0, 1.0)])
+        for row, z_k, u_k in zip(_jacobian_batch(f_net, g_net, Z, U), Z, U):
+            numeric = fd_jacobian(f_net, g_net, z_k, u_k)
+            worst = max(worst, np.max(np.abs(row - numeric)) / np.max(np.abs(numeric)))
+            single = weight_jacobian(f_net, g_net, z_k, u_k)
+            worst_single = max(worst_single, np.max(np.abs(row - single)) / np.max(np.abs(single)))
     assert worst <= 1e-6
+    # one row goes through BLAS gemv, several through gemm: equal up to rounding
+    assert worst_single <= 1e-14
 
 
 def make_dataset(n=40, seed=0):
