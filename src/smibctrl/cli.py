@@ -43,8 +43,6 @@ def cmd_identify(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"invalid identify config {args.config}: {exc}") from exc
     u_series, y_series = identify.excite_and_record(params, plan, v_target)
-    if args.out is None:
-        raise ConfigError("identify needs --out for the dataset file")
     write_table(args.out, ("k", "u", "y"), zip(range(len(u_series)), u_series, y_series))
     print(f"wrote {len(u_series)} samples to {args.out}")
     return EXIT_OK
@@ -92,8 +90,6 @@ def cmd_train(args) -> int:
                                                 cost_tol=values["cost_tol"])
     except ValueError as exc:
         raise ConfigError(f"invalid train config {args.config}: {exc}") from exc
-    if args.out is None:
-        raise ConfigError("train needs --out for the weight file")
     networks.save_weights(args.out, f_net, g_net)
     hist_path = os.path.splitext(args.out)[0] + "_cost.csv"
     write_table(hist_path, ("iteration", "cost"), enumerate(state.cost_history))
@@ -150,8 +146,6 @@ def cmd_minphase(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = scenarios.parse_scenario(args.config)
     trace = scenarios.run_scenario(cfg)
-    if args.out is None:
-        raise ConfigError("simulate needs --out for the trace file")
     trace.to_csv(args.out)
     print(f"wrote {len(trace)} samples to {args.out}")
     return EXIT_OK
@@ -176,20 +170,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_config=True):
+    def add(name, func, help_text, needs_config=True, needs_out=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=needs_config, help="config file")
-        sp.add_argument("--out", default=None, help="output file")
+        sp.add_argument("--out", required=needs_out, help="output file")
         sp.set_defaults(func=func)
         return sp
 
-    for seeded in (add("identify", cmd_identify, "record an excitation dataset from the plant"),
-                   add("train", cmd_train, "fit the two-network model to recorded datasets")):
+    for seeded in (add("identify", cmd_identify, "record an excitation dataset from the plant",
+                       needs_out=True),
+                   add("train", cmd_train, "fit the two-network model to recorded datasets",
+                       needs_out=True)):
         seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
     add("validate", cmd_validate, "cross-validate a weight file on held-out data")
     add("minphase", cmd_minphase, "tabulate transmission zeros over operating points",
         needs_config=False)
-    add("simulate", cmd_simulate, "run a scripted closed-loop scenario")
+    add("simulate", cmd_simulate, "run a scripted closed-loop scenario", needs_out=True)
     comp = add("compare", cmd_compare, "diff two trace files on their common grid",
                needs_config=False)
     comp.add_argument("trace_a", help="first trace CSV")

@@ -10,7 +10,7 @@ weights from the one-step prediction error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +18,24 @@ from .networks import (Mlp, N_LAGS_U, N_LAGS_Y, make_regressor, mlp_forward,
                        theta_flatten, theta_unflatten, weight_jacobian)
 
 
+# With every pole strictly inside the unit circle the coefficients satisfy
+# sum |C_k| < 2^p, which stays finite in double precision up to p = 1023.
+MAX_ORDER = 1023
+
+PSS_BASE_GAIN = 0.7091   # pu field voltage per pu slip, scaled by the config's nu
+
+
 @dataclass(frozen=True)
 class PolePlacement:
     """Monic target polynomial z^p + C_{p-1} z^{p-1} + ... + C_0 and the
-    reference gain k1 giving unity DC gain."""
+    reference gain k1 giving unity DC gain; built by synthesize_poly."""
 
-    p: int
     coeffs: tuple          # (C_0, ..., C_{p-1})
     k1: float
 
-    def __post_init__(self):
-        if self.p < 0 or len(self.coeffs) != self.p:
-            raise ValueError("order and coefficient count disagree")
-        if self.p > 0:
-            roots = np.roots(self.monic_descending())
-            if np.max(np.abs(roots)) >= 1.0:
-                raise ValueError("target polynomial has roots on or outside the unit circle")
-
-    def monic_descending(self) -> np.ndarray:
-        """[1, C_{p-1}, ..., C_0] for polynomial evaluation."""
-        return np.concatenate(([1.0], self.coeffs[::-1]))
-
-    def q_at(self, z: complex) -> complex:
-        return np.polyval(self.monic_descending(), z)
+    @property
+    def p(self) -> int:
+        return len(self.coeffs)
 
 
 def synthesize_poly(poles) -> PolePlacement:
@@ -55,13 +50,21 @@ def synthesize_poly(poles) -> PolePlacement:
             matches = [w for w in remaining if abs(w - z.conjugate()) < 1e-12]
             if not matches:
                 raise ValueError("pole set is not closed under conjugation")
+    # np.poly's rounding moves the coefficients by at most 2 p eps prod(1 + |z_i|)
+    # in total, while |Q(z)| >= prod(1 - |z_i|) on the unit circle.  With the first
+    # under 1% of the second the stored polynomial keeps every root inside the
+    # circle (Rouché), and k1, which adds the rounding of evaluating it at 1, is
+    # within 2% of the exact (1 - z_1)...(1 - z_p).
+    rounding = 2 * len(poles) * np.finfo(float).eps * math.prod(1.0 + abs(z) for z in poles)
+    if not rounding <= 1e-2 * math.prod(1.0 - abs(z) for z in poles):
+        raise ValueError("target polynomial is too ill-conditioned for double precision")
     monic = np.atleast_1d(np.poly(poles))
     if np.max(np.abs(monic.imag)) > 1e-10:
         raise ValueError("pole set is not closed under conjugation")
     monic = monic.real
     coeffs = tuple(monic[1:][::-1])  # ascending C_0..C_{p-1}
     k1 = float(np.polyval(monic, 1.0))
-    return PolePlacement(p=len(poles), coeffs=coeffs, k1=k1)
+    return PolePlacement(coeffs=coeffs, k1=k1)
 
 
 def u_tilde(r: float, y_hist, placement: PolePlacement) -> float:
@@ -87,32 +90,6 @@ def linearizing_control(f_hat: float, g_hat: float, u_til: float, g_min: float) 
     else:
         g_safe = g_min if g_hat >= 0.0 else -g_min
     return (-f_hat + u_til) / g_safe
-
-
-@dataclass(frozen=True)
-class PssConfig:
-    """Rotor-speed damping term added to the field voltage."""
-
-    base_gain: float = 0.7091   # pu field voltage per pu slip
-    nu: float = 3.0
-
-    @property
-    def k_pss(self) -> float:
-        return self.nu * self.base_gain
-
-
-def pss_augment(u_lin: float, slip: float, cfg: PssConfig) -> float:
-    """Add the damping term; slip is the per-unit rotor slip omega/omega_b."""
-    return u_lin + cfg.k_pss * slip
-
-
-@dataclass(frozen=True)
-class DeadzoneConfig:
-    d0: float = 0.01
-
-    def __post_init__(self):
-        if self.d0 < 0.0:
-            raise ValueError("deadzone radius must be non-negative")
 
 
 def deadzone(e: float, d0: float) -> float:
@@ -187,18 +164,23 @@ class ExactPlantModel:
 
 @dataclass
 class ControllerState:
-    """Per-loop mutable state: histories, the model and the adaptation gate.
+    """One adaptive loop: its fixed constants, the model and the histories.
 
-    Histories are newest-first and must be seeded with equilibrium values
-    before the first step.  No adaptation happens on the first step since
-    no prediction exists yet.
+    The constants are the pole-placement target, the damping gain k_pss on
+    the per-unit slip, the deadzone radius d0, the floor g_min on |g_hat|
+    and the adaptation switch.  Histories are newest-first; at_equilibrium
+    seeds them.  No adaptation happens on the first step since no
+    prediction exists yet.
     """
 
     model: object
+    placement: PolePlacement
+    k_pss: float
+    d0: float
+    g_min: float
+    adapt: bool
     y_hist: np.ndarray
     u_hist: np.ndarray
-    g_min: float
-    adaptation_enabled: bool = True
     last_prediction: float | None = None
     last_regressor: np.ndarray | None = None
     last_e_star: float = 0.0
@@ -207,55 +189,53 @@ class ControllerState:
     def __post_init__(self):
         if not self.g_min > 0.0:
             raise ValueError("g_min must be positive")
+        if not self.d0 >= 0.0:
+            raise ValueError("deadzone radius must be non-negative")
 
     @classmethod
-    def at_equilibrium(cls, model, y_eq: float, u_eq: float = 0.0, p: int = 7,
-                       g_min: float = 1e-4, adaptation_enabled: bool = True):
-        depth = max(p, N_LAGS_Y)
+    def at_equilibrium(cls, model, y_eq: float, *, placement: PolePlacement, nu: float,
+                       d0: float, g_min: float, adapt: bool):
+        """Histories at the output y_eq and zero input perturbation; the
+        damping gain is nu * PSS_BASE_GAIN."""
         return cls(
             model=model,
-            y_hist=np.full(depth, float(y_eq)),
-            u_hist=np.full(N_LAGS_U, float(u_eq)),
+            placement=placement,
+            k_pss=nu * PSS_BASE_GAIN,
+            d0=d0,
             g_min=g_min,
-            adaptation_enabled=adaptation_enabled,
+            adapt=adapt,
+            y_hist=np.full(max(placement.p, N_LAGS_Y), float(y_eq)),
+            u_hist=np.zeros(N_LAGS_U),
         )
 
-    @property
-    def theta(self):
-        return self.model.theta
 
-    def regressor(self) -> np.ndarray:
-        return make_regressor(self.y_hist, self.u_hist)
-
-
-def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float,
-                 poles: PolePlacement, pss: PssConfig, dz: DeadzoneConfig):
+def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
     """One sampling instant of the adaptive loop.
 
     Adapts the model from the previous instant's prediction error, then
     forms the regressor, inverts the model through the pole-placement
-    outer loop, augments with the damping term and records the prediction
-    and its regressor for the next instant.  Returns (u, ctrl) with ctrl
-    updated in place.
+    outer loop, adds the damping term k_pss * slip (slip is the per-unit
+    rotor slip omega/omega_b) and records the prediction and its
+    regressor for the next instant.  Returns (u, ctrl) with ctrl updated
+    in place.
     """
     ctrl.last_adapted = False
     ctrl.last_e_star = 0.0
     if ctrl.last_prediction is not None:
         e_star = ctrl.last_prediction - y_meas
         ctrl.last_e_star = float(e_star)
-        if ctrl.adaptation_enabled and ctrl.model.adaptable:
-            if abs(e_star) > dz.d0:
-                # theta has not moved since the prediction, and u(k-1) is u_hist[0]
-                jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
-                ctrl.model.theta = online_update(ctrl.model.theta, jac, e_star, dz.d0)
-                ctrl.last_adapted = True
+        if ctrl.adapt and ctrl.model.adaptable and abs(e_star) > ctrl.d0:
+            # theta has not moved since the prediction, and u(k-1) is u_hist[0]
+            jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
+            ctrl.model.theta = online_update(ctrl.model.theta, jac, e_star, ctrl.d0)
+            ctrl.last_adapted = True
 
     ctrl.y_hist = np.concatenate(([y_meas], ctrl.y_hist[:-1]))
-    z = ctrl.regressor()
+    z = make_regressor(ctrl.y_hist, ctrl.u_hist)
     f_hat = ctrl.model.f(z)
     g_hat = ctrl.model.g(z)
-    u_til = u_tilde(r, ctrl.y_hist, poles)
-    u = pss_augment(linearizing_control(f_hat, g_hat, u_til, ctrl.g_min), slip, pss)
+    u_til = u_tilde(r, ctrl.y_hist, ctrl.placement)
+    u = linearizing_control(f_hat, g_hat, u_til, ctrl.g_min) + ctrl.k_pss * slip
     if not math.isfinite(u):
         raise FloatingPointError("control input is not finite")
 

@@ -18,9 +18,8 @@ from . import machine
 from .configio import (ConfigError, Key, parse_bool, parse_float, parse_int,
                        parse_str, read_config, read_table, resolve_path,
                        write_table)
-from .control import (ControllerState, DeadzoneConfig, ExactPlantModel,
-                      NeuralPlantModel, PolePlacement, PssConfig, control_step,
-                      synthesize_poly)
+from .control import (MAX_ORDER, ControllerState, ExactPlantModel, NeuralPlantModel,
+                      PolePlacement, control_step, synthesize_poly)
 from .identify import MICRO_STEPS
 from .networks import N_LAGS_U, N_LAGS_Y, load_weights, make_regressor
 
@@ -44,16 +43,15 @@ class Event:
 
 @dataclass
 class ControllerConfig:
-    """Parsed controller config: kind plus the neural-loop knobs."""
+    """Parsed controller config: kind plus the neural loop's constants."""
 
-    kind: str = "neural"               # neural | st1a | none
-    p: int = 7
-    poles: tuple = (0.7,) * 7
-    nu: float = 3.0
-    d0: float = 0.01
-    g_min: float | None = None         # None means 0.1 |g_hat| at equilibrium
-    adapt: bool = True
-    weights_path: str | None = None
+    kind: str                          # neural | st1a | none
+    placement: PolePlacement
+    nu: float
+    d0: float
+    g_min: float | None                # None means 0.1 |g_hat| at equilibrium
+    adapt: bool
+    weights_path: str | None
 
 
 @dataclass
@@ -120,23 +118,26 @@ class Trace:
 
 
 def load_controller_config(path) -> ControllerConfig:
-    """Read a controller config.  Without `p` the order is the number of
-    `pole` lines; without them every pole is 0.7; one pole repeats p times."""
+    """Read a controller config and synthesize its pole placement.  Without
+    `p` the order is the number of `pole` lines; without them every pole is
+    0.7; one pole repeats p times.  The order is at most MAX_ORDER."""
     values = read_config(path, "controller", {
-        "controller": Key(parse_str, ControllerConfig.kind),
+        "controller": Key(parse_str, "neural"),
         "weights": Key(parse_str, None),
         "p": Key(parse_int, None),
         "pole": Key(parse_float, (), repeat=True),
-        "nu": Key(parse_float, ControllerConfig.nu),
-        "d0": Key(parse_float, ControllerConfig.d0),
+        "nu": Key(parse_float, 3.0),
+        "d0": Key(parse_float, 0.01),
         "g_min": Key(lambda key, raw: None if raw == "auto" else parse_float(key, raw), None),
-        "adapt": Key(parse_bool, ControllerConfig.adapt),
+        "adapt": Key(parse_bool, True),
     })
     kind, p, poles = values["controller"], values["p"], tuple(values["pole"])
     if kind not in ("neural", "st1a", "none"):
         raise ConfigError(f"controller must be neural|st1a|none, got {kind!r}")
     if p is None:
-        p = len(poles) or ControllerConfig.p
+        p = len(poles) or 7
+    if p > MAX_ORDER:
+        raise ConfigError(f"controller order p={p} exceeds {MAX_ORDER}")
     if len(poles) <= 1 and p > len(poles):
         poles = (poles or (0.7,)) * p
     if len(poles) != p:
@@ -144,16 +145,17 @@ def load_controller_config(path) -> ControllerConfig:
     g_min, weights = values["g_min"], values["weights"]
     if g_min is not None and not g_min > 0.0:
         raise ConfigError("g_min must be positive or auto")
+    if not values["d0"] >= 0.0:
+        raise ConfigError("deadzone radius d0 must be non-negative")
     try:
-        synthesize_poly(poles)
-        DeadzoneConfig(d0=values["d0"])
+        placement = synthesize_poly(poles)
     except ValueError as exc:
         raise ConfigError(f"invalid controller config {path}: {exc}") from exc
     if kind == "neural" and weights is None:
         raise ConfigError("neural controller config needs a weights file")
     if weights is not None:
         weights = resolve_path(path, weights)
-    return ControllerConfig(kind=kind, p=p, poles=poles, nu=values["nu"], d0=values["d0"],
+    return ControllerConfig(kind=kind, placement=placement, nu=values["nu"], d0=values["d0"],
                             g_min=g_min, adapt=values["adapt"], weights_path=weights)
 
 
@@ -198,7 +200,6 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     y_eq = machine.terminal_voltage(x, params)
 
     controller = None
-    poles = pss = dz = None
     if ctrl_cfg.kind == "neural":
         f_net, g_net = load_weights(ctrl_cfg.weights_path)
         model = NeuralPlantModel(f_net, g_net)
@@ -206,13 +207,9 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         g_min = ctrl_cfg.g_min
         if g_min is None:
             g_min = max(0.1 * abs(model.g(z_eq)), 1e-9)
-        poles = synthesize_poly(ctrl_cfg.poles)
-        pss = PssConfig(nu=ctrl_cfg.nu)
-        dz = DeadzoneConfig(d0=ctrl_cfg.d0)
         controller = ControllerState.at_equilibrium(
-            model, y_eq, 0.0, p=ctrl_cfg.p, g_min=g_min,
-            adaptation_enabled=ctrl_cfg.adapt,
-        )
+            model, y_eq, placement=ctrl_cfg.placement, nu=ctrl_cfg.nu, d0=ctrl_cfg.d0,
+            g_min=g_min, adapt=ctrl_cfg.adapt)
 
     n_steps = cfg.n_steps
     micro_dt = cfg.dt_control / MICRO_STEPS
@@ -231,7 +228,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         adapted = 0.0
         if ctrl_cfg.kind == "neural":
             slip = x[1] / params.omega_b
-            u_pert, controller = control_step(controller, v_ref, v_t, slip, poles, pss, dz)
+            u_pert, controller = control_step(controller, v_ref, v_t, slip)
             e_star = controller.last_e_star
             adapted = float(controller.last_adapted)
         elif ctrl_cfg.kind == "st1a":
@@ -264,16 +261,13 @@ def run_oracle_loop(placement: PolePlacement, f_fun, g_fun, r_series,
     """
     r_series = np.asarray(r_series, dtype=float)
     n = len(r_series)
-    model = ExactPlantModel(f_fun, g_fun)
-    ctrl = ControllerState.at_equilibrium(
-        model, y0, 0.0, p=placement.p, g_min=g_min, adaptation_enabled=False
-    )
-    pss = PssConfig(nu=0.0)
-    dz = DeadzoneConfig(d0=0.0)
+    ctrl = ControllerState.at_equilibrium(ExactPlantModel(f_fun, g_fun), y0,
+                                          placement=placement, nu=0.0, d0=0.0,
+                                          g_min=g_min, adapt=False)
     y = float(y0)
     cols = {name: np.zeros(n) for name in TRACE_COLUMNS}
     for k in range(n):
-        u, ctrl = control_step(ctrl, float(r_series[k]), y, 0.0, placement, pss, dz)
+        u, ctrl = control_step(ctrl, float(r_series[k]), y, 0.0)
         z = ctrl.last_regressor
         y_next = float(f_fun(z)) + float(g_fun(z)) * u
         cols["t"][k] = k

@@ -14,8 +14,8 @@ import pytest
 
 from smibctrl import machine
 from smibctrl.cli import cli_dispatch
-from smibctrl.control import (ControllerState, DeadzoneConfig, NeuralPlantModel,
-                              PssConfig, control_step, synthesize_poly)
+from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
+                              synthesize_poly)
 from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_validate,
                                excite_and_record, split)
 from smibctrl.networks import (Mlp, lm_train, narx_predict, theta_flatten,
@@ -100,17 +100,15 @@ def test_criterion_04_deadzone_halts_adaptation(shipped_nets):
     f_net, g_net = shipped_nets
     model = NeuralPlantModel(f_net, g_net)
     d0 = 0.01
-    ctrl = ControllerState.at_equilibrium(model, 1.1392, 0.0, p=7, g_min=1e-3,
-                                          adaptation_enabled=True)
-    placement = synthesize_poly([0.7] * 7)
-    pss, dz = PssConfig(nu=0.0), DeadzoneConfig(d0=d0)
-    control_step(ctrl, 1.1392, 1.1392, 0.0, placement, pss, dz)
-    theta0 = ctrl.theta.copy()
+    ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7] * 7),
+                                          nu=0.0, d0=d0, g_min=1e-3, adapt=True)
+    control_step(ctrl, 1.1392, 1.1392, 0.0)
+    theta0 = ctrl.model.theta.copy()
     for _ in range(1000):
         y_meas = ctrl.last_prediction + 0.5 * d0  # error inside the deadzone
-        control_step(ctrl, 1.1392, y_meas, 0.0, placement, pss, dz)
+        control_step(ctrl, 1.1392, y_meas, 0.0)
         assert abs(ctrl.last_e_star) <= d0
-    assert np.array_equal(ctrl.theta, theta0)
+    assert np.array_equal(ctrl.model.theta, theta0)
     verdict(4, "deadzone halting", "theta bitwise unchanged over 1000 steps")
 
 

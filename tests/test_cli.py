@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smibctrl import identify, networks, scenarios
 from smibctrl.cli import cli_dispatch
 from smibctrl.machine import MachineParams
 from smibctrl.scenarios import EVENT_ACTIONS
@@ -134,6 +135,19 @@ def test_unknown_flag_exits_2(capsys):
     assert cli_dispatch(["simulate", "--config", "x", "--frobnicate"]) == 2
 
 
+def test_missing_out_exits_2_before_any_work(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(identify, "excite_and_record", must_not_run)
+    monkeypatch.setattr(networks, "lm_train", must_not_run)
+    monkeypatch.setattr(scenarios, "run_scenario", must_not_run)
+    for command, config in (("identify", "identify_ref.cfg"), ("train", "train_ref.cfg"),
+                            ("simulate", "scen_step_nominal_neural.cfg")):
+        assert cli_dispatch([command, "--config", config_path(config)]) == 2, command
+        assert "--out" in capsys.readouterr().err, command
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     scen = tmp_path / "s.cfg"
     scen.write_text("not a scenario\n")
@@ -244,6 +258,8 @@ BAD_INPUTS = {
         tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\nd0 = -1\n"),
     "controller g_min -1": lambda tmp: _simulate_with_controller(
         tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\ng_min = -1\n"),
+    "controller p 1e9": lambda tmp: _simulate_with_controller(
+        tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\np = 1000000000\n"),
     "scenario t_end -1": lambda tmp: _simulate(tmp, "t_end = -1\n"),
     "scenario scale_H 0": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H 0\n"),
     "scenario v_ref nan": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = nan\n"),
@@ -303,5 +319,15 @@ def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
         lines += "".join(f"event = 0.01 {action} {value}\n" for action, value in events)
         assert cli_dispatch(_simulate(tmp, lines, config_path(controller))) in (0, 2, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(-2, 1100), st.just(10**9)), FUZZ_VALUES, FUZZ_VALUES,
+           FUZZ_VALUES, FUZZ_VALUES)
+    def controller(p, pole, nu, d0, g_min):
+        ctrl = tmp / "c.cfg"
+        ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
+                        f"p = {p}\npole = {pole}\nnu = {nu}\nd0 = {d0}\ng_min = {g_min}\n")
+        assert cli_dispatch(_simulate(tmp, "t_end = 0.02\n", ctrl)) in (0, 2, 3)
+
     minphase()
     simulate()
+    controller()

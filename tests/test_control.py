@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl.control import (ControllerState, DeadzoneConfig, ExactPlantModel,
-                              NeuralPlantModel, PolePlacement, PssConfig, control_step,
-                              deadzone, linearizing_control, online_update, pss_augment,
+from smibctrl.control import (ControllerState, ExactPlantModel, NeuralPlantModel,
+                              control_step, deadzone, linearizing_control, online_update,
                               synthesize_poly, u_tilde)
 from smibctrl.networks import Mlp
 
@@ -46,13 +45,6 @@ def test_conjugate_closure_required():
     assert np.allclose(spec.coeffs[::-1], [-1.0, 0.29], atol=1e-12)
 
 
-def test_direct_construction_rejects_unstable_polynomial():
-    with pytest.raises(ValueError):
-        PolePlacement(p=1, coeffs=(-1.5,), k1=1.0)  # root at 1.5
-    with pytest.raises(ValueError):
-        PolePlacement(p=2, coeffs=(0.3,), k1=1.0)   # count mismatch
-
-
 @given(st.lists(st.floats(-0.95, 0.95), min_size=0, max_size=6), st.integers(0, 50))
 @settings(max_examples=60, deadline=None)
 def test_unity_dc_gain(real_poles, seed):
@@ -61,7 +53,7 @@ def test_unity_dc_gain(real_poles, seed):
     phi = rng.uniform(0.1, 3.0)
     poles = list(real_poles) + [r * np.exp(1j * phi), r * np.exp(-1j * phi)]
     spec = synthesize_poly(poles)
-    assert spec.q_at(1.0) == spec.k1
+    assert np.polyval(np.concatenate(([1.0], spec.coeffs[::-1])), 1.0) == spec.k1
 
 
 def test_u_tilde_cases():
@@ -98,10 +90,14 @@ def test_linearizing_control_finite(f_hat, u_til, g_hat):
 
 
 def test_pss_gain_value():
-    cfg = PssConfig(nu=3.0)
-    assert cfg.k_pss == pytest.approx(2.1273, abs=1e-12)
-    assert pss_augment(0.0, 0.1, cfg) == pytest.approx(0.21273, abs=1e-12)
-    assert pss_augment(0.5, 0.0, cfg) == 0.5
+    ctrl_a = make_controller(adapt=False, nu=3.0)
+    ctrl_b = make_controller(adapt=False, nu=3.0)
+    assert ctrl_a.k_pss == pytest.approx(2.1273, abs=1e-12)
+    u_a, _ = control_step(ctrl_a, 1.0, 1.0, 0.1)
+    u_b, _ = control_step(ctrl_b, 1.0, 1.0, 0.0)
+    assert u_a - u_b == pytest.approx(0.21273, abs=1e-12)
+    plain, _ = control_step(make_controller(adapt=False, nu=0.0), 1.0, 1.0, 0.0)
+    assert u_b == plain
 
 
 def test_deadzone_cases():
@@ -153,56 +149,58 @@ def test_online_update_step_bound(e_star, d0, seed):
     assert np.linalg.norm(out - theta) <= abs(deadzone(e_star, d0)) / 2.0 + 1e-12
 
 
-def make_controller(adapt=True, p=1, seed=0):
+def make_controller(adapt=True, seed=0, nu=0.0, d0=1e-6):
     rng = np.random.default_rng(seed)
     model = NeuralPlantModel(Mlp.random(5, rng=rng), Mlp.random(5, rng=rng))
-    return ControllerState.at_equilibrium(model, 1.0, 0.0, p=p, g_min=1e-3,
-                                          adaptation_enabled=adapt)
+    return ControllerState.at_equilibrium(model, 1.0, placement=synthesize_poly([0.7]),
+                                          nu=nu, d0=d0, g_min=1e-3, adapt=adapt)
+
+
+def test_controller_state_rejects_bad_constants():
+    with pytest.raises(ValueError):
+        make_controller(d0=-1e-6)
+    model = make_controller().model
+    with pytest.raises(ValueError):
+        ControllerState.at_equilibrium(model, 1.0, placement=synthesize_poly([0.7]),
+                                       nu=0.0, d0=0.0, g_min=0.0, adapt=True)
 
 
 def test_control_step_no_adaptation_keeps_theta():
     ctrl = make_controller(adapt=False)
-    theta0 = ctrl.theta.copy()
-    spec = synthesize_poly([0.7])
+    theta0 = ctrl.model.theta.copy()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        control_step(ctrl, 1.0, 1.0 + rng.normal() * 0.1, 0.0, spec,
-                     PssConfig(nu=0.0), DeadzoneConfig(d0=1e-6))
-    assert np.array_equal(ctrl.theta, theta0)
+        control_step(ctrl, 1.0, 1.0 + rng.normal() * 0.1, 0.0)
+    assert np.array_equal(ctrl.model.theta, theta0)
 
 
 def test_control_step_first_step_never_adapts():
-    ctrl = make_controller(adapt=True)
-    theta0 = ctrl.theta.copy()
-    spec = synthesize_poly([0.7])
-    control_step(ctrl, 1.0, 55.0, 0.0, spec, PssConfig(nu=0.0), DeadzoneConfig(d0=1e-9))
-    assert np.array_equal(ctrl.theta, theta0)
+    ctrl = make_controller(adapt=True, d0=1e-9)
+    theta0 = ctrl.model.theta.copy()
+    control_step(ctrl, 1.0, 55.0, 0.0)
+    assert np.array_equal(ctrl.model.theta, theta0)
     assert ctrl.last_e_star == 0.0
     assert not ctrl.last_adapted
 
 
 def test_control_step_adapts_on_large_error():
     ctrl = make_controller(adapt=True)
-    spec = synthesize_poly([0.7])
-    dz = DeadzoneConfig(d0=1e-6)
-    control_step(ctrl, 1.0, 1.0, 0.0, spec, PssConfig(nu=0.0), dz)
-    theta0 = ctrl.theta.copy()
-    control_step(ctrl, 1.0, 5.0, 0.0, spec, PssConfig(nu=0.0), dz)  # big surprise
-    assert not np.array_equal(ctrl.theta, theta0)
+    control_step(ctrl, 1.0, 1.0, 0.0)
+    theta0 = ctrl.model.theta.copy()
+    control_step(ctrl, 1.0, 5.0, 0.0)  # big surprise
+    assert not np.array_equal(ctrl.model.theta, theta0)
     assert ctrl.last_adapted
 
 
 def test_pss_zero_reduces_to_plain_linearizing_loop():
-    spec = synthesize_poly([0.7])
-    dz = DeadzoneConfig(d0=0.01)
-    ctrl_a = make_controller(adapt=False, seed=9)
-    ctrl_b = make_controller(adapt=False, seed=9)
+    ctrl_a = make_controller(adapt=False, seed=9, nu=0.0, d0=0.01)
+    ctrl_b = make_controller(adapt=False, seed=9, nu=3.0, d0=0.01)
     rng = np.random.default_rng(4)
     for _ in range(30):
         y = 1.0 + 0.05 * rng.normal()
         dd = rng.normal()
-        u_a, _ = control_step(ctrl_a, 1.0, y, dd, spec, PssConfig(nu=0.0), dz)
-        u_b, _ = control_step(ctrl_b, 1.0, y, 0.0, spec, PssConfig(nu=3.0), dz)
+        u_a, _ = control_step(ctrl_a, 1.0, y, dd)
+        u_b, _ = control_step(ctrl_b, 1.0, y, 0.0)
         # with nu = 0 the slip input is irrelevant; with zero slip
         # the augmented law collapses to the plain one
         assert u_a == u_b
@@ -210,10 +208,9 @@ def test_pss_zero_reduces_to_plain_linearizing_loop():
 
 def test_exact_model_is_not_adaptable():
     model = ExactPlantModel(lambda z: 0.0, lambda z: 1.0)
-    ctrl = ControllerState.at_equilibrium(model, 0.0, 0.0, p=1, g_min=1e-9,
-                                          adaptation_enabled=True)
-    spec = synthesize_poly([0.7])
-    control_step(ctrl, 1.0, 0.0, 0.0, spec, PssConfig(nu=0.0), DeadzoneConfig(d0=0.0))
-    u, _ = control_step(ctrl, 1.0, 0.7, 0.0, spec, PssConfig(nu=0.0), DeadzoneConfig(d0=0.0))
+    ctrl = ControllerState.at_equilibrium(model, 0.0, placement=synthesize_poly([0.7]),
+                                          nu=0.0, d0=0.0, g_min=1e-9, adapt=True)
+    control_step(ctrl, 1.0, 0.0, 0.0)
+    u, _ = control_step(ctrl, 1.0, 0.7, 0.0)
     assert np.isfinite(u)
     assert not ctrl.last_adapted

@@ -150,11 +150,11 @@ def test_scenario_validation(tmp_path):
 def test_controller_config_parsing():
     cfg = load_controller_config(config_path("ctrl_neural_track.cfg"))
     assert cfg.kind == "neural"
-    assert cfg.p == 1 and cfg.poles == (0.7,)
+    assert cfg.placement == synthesize_poly((0.7,))
     assert cfg.nu == 0.0 and cfg.d0 == 1e-4 and cfg.adapt
     assert cfg.g_min is None
     default = load_controller_config(config_path("ctrl_neural_default.cfg"))
-    assert default.p == 7 and default.poles == (0.7,) * 7
+    assert default.placement.p == 7 and default.placement == synthesize_poly((0.7,) * 7)
 
 
 def test_controller_config_validation(tmp_path):
@@ -174,7 +174,26 @@ def test_controller_config_pole_list_infers_order(tmp_path):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text("controller = none\npole = 0.5\npole = 0.6\npole = 0.7\n")
     cfg = load_controller_config(cfg_file)
-    assert cfg.p == 3 and cfg.poles == (0.5, 0.6, 0.7)
+    assert cfg.placement.p == 3 and cfg.placement == synthesize_poly((0.5, 0.6, 0.7))
+
+
+@pytest.mark.parametrize("pole,p", [(0.9, 13), (0.7, 22)])
+def test_controller_config_rejects_ill_conditioned_poles(tmp_path, pole, p):
+    # rounding in the expanded coefficients, up to 2 p eps (1 + pole)^p, exceeds
+    # k1 = (1 - pole)^p: neither the stored roots nor the sign of k1 are known
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(f"controller = none\np = {p}\npole = {pole}\n")
+    with pytest.raises(ConfigError, match="ill-conditioned"):
+        load_controller_config(cfg_file)
+
+
+@pytest.mark.parametrize("pole,p", [(0.9, 9), (0.7, 16), (0.95, 6)])
+def test_controller_config_accepts_repeated_stable_poles(tmp_path, pole, p):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(f"controller = none\np = {p}\npole = {pole}\n")
+    placement = load_controller_config(cfg_file).placement
+    assert placement.p == p
+    assert abs(placement.k1 - (1 - pole) ** p) <= 1e-2 * (1 - pole) ** p
 
 
 def test_uncontrolled_plant_holds_equilibrium(tmp_path):
