@@ -129,10 +129,11 @@ def cmd_minphase(args) -> int:
         grid = values["v_target"]
     else:
         params, grid = machine.MachineParams(), DEFAULT_MINPHASE_GRID
+    models = [(v_target, machine.linearize(params, *machine.find_equilibrium(params, v_target)))
+              for v_target in grid]  # a numerical failure prints no partial table
     rows = []
     print(f"{'v_target':>9} {'c.b':>12} {'max Re(zero)':>13}  zeros")
-    for v_target in grid:
-        model = machine.linearize(params, *machine.find_equilibrium(params, v_target))
+    for v_target, model in models:
         worst = max(z.real for z in model.zeros)
         zs = " ".join(f"{z.real:.4g}{z.imag:+.4g}j" for z in model.zeros)
         print(f"{v_target:9.4f} {model.cb:12.5g} {worst:13.5g}  {zs}")

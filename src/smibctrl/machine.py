@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -21,6 +22,7 @@ from scipy import linalg
 from .configio import ConfigError, fields_schema, read_config
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
+_dgetrs = linalg.lapack.dgetrs
 
 
 class SingularInductanceError(ValueError):
@@ -91,32 +93,35 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
     )
 
 
+class _Plant(NamedTuple):
+    """One `MachineParams` compiled for integration: the LU factors of L,
+    the resistance sign pattern and the steady-flux matrix K."""
+
+    params: MachineParams
+    lu: np.ndarray
+    piv: np.ndarray
+    r_diag: np.ndarray
+    K: np.ndarray
+
+
 @lru_cache(maxsize=128)
-def _assembled(params: MachineParams):
-    """Cached per-params factorization of L, the resistance sign pattern and
-    the steady-flux matrix K = (R + M) L^-1 + Z of `_steady_state`."""
+def _assembled(params: MachineParams) -> _Plant:
+    """Cached compilation of params; K = (R + M) L^-1 + Z is the matrix of
+    `_steady_state`.  A non-finite K surfaces there as a named failure."""
     L = inductance_matrix(params)
-    det = float(np.linalg.det(L))
-    if not np.isfinite(det) or abs(det) <= 1e-12:
-        raise SingularInductanceError(f"|det L| = {abs(det):.3e} <= 1e-12")
-    lu = linalg.lu_factor(L)
-    r_diag = np.array([params.r_s, params.r_s, -params.r_f, -params.r_kd, -params.r_kq])
-    RM = np.diag(r_diag)
-    RM[0, 0:2] += [params.r11, -params.x11]
-    RM[1, 0:2] += [params.x11, params.r11]
-    K = RM @ np.linalg.inv(L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(L))
+        if not np.isfinite(det) or abs(det) <= 1e-12:
+            raise SingularInductanceError(f"|det L| = {abs(det):.3e} <= 1e-12")
+        lu, piv = linalg.lu_factor(L)
+        r_diag = np.array([params.r_s, params.r_s, -params.r_f, -params.r_kd, -params.r_kq])
+        RM = np.diag(r_diag)
+        RM[0, 0:2] += [params.r11, -params.x11]
+        RM[1, 0:2] += [params.x11, params.r11]
+        K = RM @ np.linalg.inv(L)
     K[0, 1] += 1.0
     K[1, 0] -= 1.0
-    return lu, r_diag, K
-
-
-def dq_currents(lam, params: MachineParams) -> np.ndarray:
-    """Winding currents solving L i = lambda."""
-    lu, _, _ = _assembled(params)
-    try:
-        return linalg.lu_solve(lu, np.asarray(lam, dtype=float))
-    except ValueError as exc:  # lu_solve's own check for a non-finite flux
-        raise DivergenceError(f"winding fluxes are not finite: {exc}") from exc
+    return _Plant(params, lu, piv, r_diag, K)
 
 
 def _bus_voltage(params: MachineParams, delta: float):
@@ -126,6 +131,44 @@ def _bus_voltage(params: MachineParams, delta: float):
             -params.v_inf * (params.B * sin_d - params.A * cos_d))
 
 
+def _currents(plant: _Plant, lam) -> np.ndarray:
+    # dgetrs, unlike lu_solve, does not reject a non-finite right-hand side
+    if not np.isfinite(lam).all():
+        raise DivergenceError("winding fluxes are not finite")
+    return _dgetrs(plant.lu, plant.piv, lam)[0]
+
+
+def _voltages(plant: _Plant, x):
+    if not math.isfinite(x[0]):
+        raise DivergenceError("power angle is not finite")
+    p = plant.params
+    i = _currents(plant, x[2:])
+    w_d, w_q = _bus_voltage(p, x[0])
+    v_d = p.r11 * i[0] - p.x11 * i[1] + w_d
+    v_q = p.r11 * i[1] + p.x11 * i[0] + w_q
+    return i, v_d, v_q
+
+
+def _rates(plant: _Plant, x, u: float) -> np.ndarray:
+    p = plant.params
+    i, v_d, v_q = _voltages(plant, x)
+    lam = x[2:]
+    s = 1.0 + x[1] / p.omega_b if p.speed_coupled_z else 1.0
+    dlam = plant.r_diag * i
+    dlam[0] += s * lam[1] + v_d
+    dlam[1] += -s * lam[0] + v_q
+    dlam[2] += u
+    dlam *= p.omega_b
+    P_e = lam[0] * i[1] - lam[1] * i[0]
+    domega = p.omega_b / (2.0 * p.H) * (p.P_m - P_e - p.D * x[1])
+    return np.concatenate(([x[1], domega], dlam))
+
+
+def dq_currents(lam, params: MachineParams) -> np.ndarray:
+    """Winding currents solving L i = lambda."""
+    return _currents(_assembled(params), np.asarray(lam, dtype=float))
+
+
 def dq_voltages(x, params: MachineParams):
     """Currents [Id, Iq, If, Ikd, Ikq] and stator voltages v_d, v_q (pu) at x.
 
@@ -133,13 +176,7 @@ def dq_voltages(x, params: MachineParams):
     v_q); a symmetric pairing would invert the sense of voltage regulation
     and destabilize any positive-gain exciter.
     """
-    if not math.isfinite(x[0]):
-        raise DivergenceError("power angle is not finite")
-    i = dq_currents(x[2:], params)
-    w_d, w_q = _bus_voltage(params, x[0])
-    v_d = params.r11 * i[0] - params.x11 * i[1] + w_d
-    v_q = params.r11 * i[1] + params.x11 * i[0] + w_q
-    return i, v_d, v_q
+    return _voltages(_assembled(params), x)
 
 
 def terminal_voltage(x, params: MachineParams) -> float:
@@ -149,29 +186,19 @@ def terminal_voltage(x, params: MachineParams) -> float:
 
 def derivatives(x, u: float, params: MachineParams) -> np.ndarray:
     """State rate dx/dt at the given field voltage."""
-    _, r_diag, _ = _assembled(params)
-    i, v_d, v_q = dq_voltages(x, params)
-    lam = x[2:]
-    s = 1.0 + x[1] / params.omega_b if params.speed_coupled_z else 1.0
-    dlam = r_diag * i
-    dlam[0] += s * lam[1] + v_d
-    dlam[1] += -s * lam[0] + v_q
-    dlam[2] += u
-    dlam *= params.omega_b
-    P_e = lam[0] * i[1] - lam[1] * i[0]
-    domega = params.omega_b / (2.0 * params.H) * (params.P_m - P_e - params.D * x[1])
-    return np.concatenate(([x[1], domega], dlam))
+    return _rates(_assembled(params), x, u)
 
 
 def rk4_step(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
     """One classical Runge-Kutta step holding u constant."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    plant = _assembled(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = derivatives(x, u, params)
-        k2 = derivatives(x + 0.5 * dt * k1, u, params)
-        k3 = derivatives(x + 0.5 * dt * k2, u, params)
-        k4 = derivatives(x + dt * k3, u, params)
+        k1 = _rates(plant, x, u)
+        k2 = _rates(plant, x + 0.5 * dt * k1, u)
+        k3 = _rates(plant, x + 0.5 * dt * k2, u)
+        k4 = _rates(plant, x + dt * k3, u)
         x1 = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x1)):
         raise DivergenceError("rk4_step produced a non-finite state")
@@ -184,9 +211,8 @@ def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
     With delta and u frozen the flux dynamics are linear, so the steady
     fluxes solve [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
     """
-    _, _, K = _assembled(params)
     w = np.array([*_bus_voltage(params, delta), u, 0.0, 0.0])
-    return np.concatenate(([delta, 0.0], np.linalg.solve(K, -w)))
+    return np.concatenate(([delta, 0.0], np.linalg.solve(_assembled(params).K, -w)))
 
 
 def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int):
@@ -197,12 +223,13 @@ def _excitation_for(params: MachineParams, delta: float, v_target: float, branch
     leftmost.  Returns None when v_target is unreachable at this angle.
     """
     x0 = _steady_state(params, delta, 0.0)
-    x_u = _steady_state(params, delta, 1.0) - x0
     w0 = np.array(dq_voltages(x0, params)[1:])
-    wu = np.array(dq_voltages(x0 + x_u, params)[1:]) - w0
-    a = float(wu @ wu)
-    b = 2.0 * float(w0 @ wu)
-    c = float(w0 @ w0) - v_target**2
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a, b or c fails below
+        x_u = _steady_state(params, delta, 1.0) - x0
+        wu = np.array(dq_voltages(x0 + x_u, params)[1:]) - w0
+        a = float(wu @ wu)
+        b = 2.0 * float(w0 @ wu)
+        c = float(w0 @ w0) - v_target**2
     disc = b * b - 4.0 * a * c
     if a <= 0.0 or disc < 0.0:
         return None
@@ -270,33 +297,34 @@ def find_equilibrium(params: MachineParams, v_target: float):
         return np.concatenate((d, [terminal_voltage(x, params) - v_target]))
 
     r = full_residual(y)
-    for _ in range(EQUILIBRIUM_MAX_ITER):
-        if np.max(np.abs(r)) <= EQUILIBRIUM_TOL:
-            break
-        jac = np.empty((8, 8))
-        for j in range(8):
-            h = max(1e-7 * abs(y[j]), 1e-9)
-            yp, ym = y.copy(), y.copy()
-            yp[j] += h
-            ym[j] -= h
-            jac[:, j] = (full_residual(yp) - full_residual(ym)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise EquilibriumError(f"singular Newton Jacobian: {exc}") from exc
-        alpha, base = 1.0, np.linalg.norm(r)
-        while alpha > 1e-8:
-            yn = y + alpha * step
-            rn = full_residual(yn)
-            if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < base:
-                y, r = yn, rn
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite residuals fail below
+        for _ in range(EQUILIBRIUM_MAX_ITER):
+            if np.max(np.abs(r)) <= EQUILIBRIUM_TOL:
                 break
-            alpha *= 0.5
+            jac = np.empty((8, 8))
+            for j in range(8):
+                h = max(1e-7 * abs(y[j]), 1e-9)
+                yp, ym = y.copy(), y.copy()
+                yp[j] += h
+                ym[j] -= h
+                jac[:, j] = (full_residual(yp) - full_residual(ym)) / (2.0 * h)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise EquilibriumError(f"singular Newton Jacobian: {exc}") from exc
+            alpha, base = 1.0, np.linalg.norm(r)
+            while alpha > 1e-8:
+                yn = y + alpha * step
+                rn = full_residual(yn)
+                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < base:
+                    y, r = yn, rn
+                    break
+                alpha *= 0.5
+            else:
+                raise EquilibriumError(f"line search stalled, residual {base:.3e}")
         else:
-            raise EquilibriumError(f"line search stalled, residual {base:.3e}")
-    else:
-        raise EquilibriumError(f"no convergence in {EQUILIBRIUM_MAX_ITER} iterations, "
-                               f"residual {np.max(np.abs(r)):.3e}")
+            raise EquilibriumError(f"no convergence in {EQUILIBRIUM_MAX_ITER} iterations, "
+                                   f"residual {np.max(np.abs(r)):.3e}")
     y[1] = 0.0  # ddelta = omega = 0 holds exactly at any equilibrium
     res = np.max(np.abs(full_residual(y)))
     if res > EQUILIBRIUM_TOL:
@@ -327,16 +355,19 @@ def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
 
     a_mat = np.empty((7, 7))
     c_vec = np.empty((1, 7))
-    for j in range(7):
-        step = max(1e-6 * abs(x0[j]), 1e-8)
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += step
-        xm[j] -= step
-        a_mat[:, j] = (derivatives(xp, eq_u, params) - derivatives(xm, eq_u, params)) / (2.0 * step)
-        c_vec[0, j] = (terminal_voltage(xp, params) - terminal_voltage(xm, params)) / (2.0 * step)
-    step = max(1e-6 * abs(eq_u), 1e-8)
-    b_vec = ((derivatives(x0, eq_u + step, params) - derivatives(x0, eq_u - step, params))
-             / (2.0 * step)).reshape(7, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pencil fails below
+        for j in range(7):
+            step = max(1e-6 * abs(x0[j]), 1e-8)
+            xp, xm = x0.copy(), x0.copy()
+            xp[j] += step
+            xm[j] -= step
+            a_mat[:, j] = ((derivatives(xp, eq_u, params) - derivatives(xm, eq_u, params))
+                           / (2.0 * step))
+            c_vec[0, j] = ((terminal_voltage(xp, params) - terminal_voltage(xm, params))
+                           / (2.0 * step))
+        step = max(1e-6 * abs(eq_u), 1e-8)
+        b_vec = ((derivatives(x0, eq_u + step, params) - derivatives(x0, eq_u - step, params))
+                 / (2.0 * step)).reshape(7, 1)
 
     # the output map has no feedthrough, so the pencil's corner is zero
     pencil_a = np.block([[a_mat, b_vec], [c_vec, np.zeros((1, 1))]])
@@ -381,11 +412,3 @@ def load_machine_config(path) -> MachineParams:
         return MachineParams(**values)
     except ValueError as exc:  # includes SingularInductanceError
         raise ConfigError(f"invalid machine config {path}: {exc}") from exc
-
-
-def scale_inertia(params: MachineParams, factor: float) -> MachineParams:
-    return replace(params, H=params.H * factor)
-
-
-def set_mechanical_power(params: MachineParams, value: float) -> MachineParams:
-    return replace(params, P_m=value)

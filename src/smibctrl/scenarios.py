@@ -9,7 +9,7 @@ controller and integrates four RK4 micro-steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -184,11 +184,11 @@ def parse_scenario(path) -> ScenarioConfig:
 def _apply_event(params, event: Event):
     if event.action == "scale_H":
         try:
-            return machine.scale_inertia(params, event.value), None
+            return replace(params, H=params.H * event.value), None
         except ValueError as exc:  # repeated factors can take H to 0 or inf
             raise ScenarioError(f"scale_H at t = {event.time:g} s: {exc}") from exc
     if event.action == "set_Pm":
-        return machine.set_mechanical_power(params, event.value), None
+        return replace(params, P_m=event.value), None
     return params, event.value  # set_vref
 
 

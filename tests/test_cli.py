@@ -1,5 +1,6 @@
 import filecmp
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -186,6 +187,19 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     for case, argv in NUMERICAL_FAILURES.items():
         assert cli_dispatch(argv(tmp_path)) == 3, case
         assert "numerical failure" in capsys.readouterr().err, case
+
+
+@pytest.mark.parametrize("machine_line",
+                         ["x11 = 1e308", "D = 1e308", "H = 5e-324", "r_kd = 1e200"])
+def test_minphase_overflow_is_one_clean_failure_line(tmp_path, capsys, machine_line):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_dispatch(_minphase(tmp_path, machine_line + "\n"))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
 
 
 TRACE_HEADER = "t,v_ref,v_t,v_f,delta,omega,e_star,adapted\n"

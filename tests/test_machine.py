@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import linalg
 
 from smibctrl import machine
 from smibctrl.configio import ConfigError
@@ -54,6 +55,26 @@ def test_dq_currents_roundtrip_identity(ref_params):
     for _ in range(50):
         i = rng.uniform(-3, 3, size=5)
         assert np.max(np.abs(dq_currents(L @ i, ref_params) - i)) <= 1e-12
+
+
+def test_dq_currents_bitwise_equal_to_scipy_lu_solve(ref_params):
+    lu = linalg.lu_factor(inductance_matrix(ref_params))
+    rng = np.random.default_rng(17)
+    for lam in rng.uniform(-3, 3, size=(2000, 5)):
+        assert np.array_equal(dq_currents(lam, ref_params), linalg.lu_solve(lu, lam))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_flux_is_divergence(ref_params, nominal_eq, bad):
+    state, u_eq = nominal_eq
+    x = state.copy()
+    x[4] = bad  # lambda_f
+    with pytest.raises(machine.DivergenceError):
+        dq_currents(x[2:], ref_params)
+    with pytest.raises(machine.DivergenceError):
+        terminal_voltage(x, ref_params)
+    with pytest.raises(machine.DivergenceError):
+        derivatives(x, u_eq, ref_params)
 
 
 def test_singular_inductance_rejected():
