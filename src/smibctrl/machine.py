@@ -238,26 +238,28 @@ def _excitation_for(params: MachineParams, delta: float, v_target: float, branch
 
 
 def _coarse_equilibrium(params: MachineParams, v_target: float):
-    """Angle/excitation seed on a stable (rising power) branch.
+    """Operating point (x, u_eq) on a stable (rising power) branch, in closed form.
 
     Scans the power angle on both excitation branches, and bisects the
     first rising crossing of the electrical power through P_m, preferring
-    the overexcited branch.
+    the overexcited branch.  At each angle the field voltage is the root of
+    `_excitation_for` and the fluxes are `_steady_state`, so the bisected
+    point is the equilibrium itself.
     """
 
     def power_at(delta, branch):
         u = _excitation_for(params, delta, v_target, branch)
         if u is None:
-            return None, None
+            return None, None, None
         x = _steady_state(params, delta, u)
         i = dq_currents(x[2:], params)
-        return x[2] * i[1] - x[3] * i[0], u
+        return x[2] * i[1] - x[3] * i[0], x, u
 
     grid = np.linspace(0.02, 2.60, 130)
     for branch in (1, 0):
         prev = None
         for delta in grid:
-            pe, u = power_at(delta, branch)
+            pe, _, _ = power_at(delta, branch)
             if pe is None:
                 prev = None
                 continue
@@ -267,69 +269,35 @@ def _coarse_equilibrium(params: MachineParams, v_target: float):
                     lo, hi = d0, delta
                     for _ in range(80):
                         mid = 0.5 * (lo + hi)
-                        pm, _ = power_at(mid, branch)
+                        pm, _, _ = power_at(mid, branch)
                         if pm is None or pm < params.P_m:
                             lo = mid
                         else:
                             hi = mid
-                    delta_eq = 0.5 * (lo + hi)
-                    return float(delta_eq), float(_excitation_for(params, delta_eq, v_target, branch))
+                    _, x, u = power_at(0.5 * (lo + hi), branch)
+                    if x is not None:
+                        return x, u
             prev = (delta, pe)
     raise EquilibriumError(f"no stable-branch equilibrium found for v_t = {v_target}")
 
 
 EQUILIBRIUM_TOL = 1e-10
-EQUILIBRIUM_MAX_ITER = 100
 
 
 def find_equilibrium(params: MachineParams, v_target: float):
-    """Newton-Raphson for the operating point at terminal voltage v_target.
+    """Operating point at terminal voltage v_target.  Returns (x, u_eq).
 
-    Solves the 8 equations {state rates = 0, v_t = v_target} for the 7
-    states plus the field voltage.  Returns (x, u_eq).
+    The closed-form point of `_coarse_equilibrium` is checked against the 8
+    equations {state rates = 0, v_t = v_target} to EQUILIBRIUM_TOL.
     """
-    delta0, u0 = _coarse_equilibrium(params, v_target)
-    y = np.append(_steady_state(params, delta0, u0), u0)
-
-    def full_residual(vec):
-        x = vec[:7]
-        d = derivatives(x, float(vec[7]), params)
-        return np.concatenate((d, [terminal_voltage(x, params) - v_target]))
-
-    r = full_residual(y)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite residuals fail below
-        for _ in range(EQUILIBRIUM_MAX_ITER):
-            if np.max(np.abs(r)) <= EQUILIBRIUM_TOL:
-                break
-            jac = np.empty((8, 8))
-            for j in range(8):
-                h = max(1e-7 * abs(y[j]), 1e-9)
-                yp, ym = y.copy(), y.copy()
-                yp[j] += h
-                ym[j] -= h
-                jac[:, j] = (full_residual(yp) - full_residual(ym)) / (2.0 * h)
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                raise EquilibriumError(f"singular Newton Jacobian: {exc}") from exc
-            alpha, base = 1.0, np.linalg.norm(r)
-            while alpha > 1e-8:
-                yn = y + alpha * step
-                rn = full_residual(yn)
-                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < base:
-                    y, r = yn, rn
-                    break
-                alpha *= 0.5
-            else:
-                raise EquilibriumError(f"line search stalled, residual {base:.3e}")
-        else:
-            raise EquilibriumError(f"no convergence in {EQUILIBRIUM_MAX_ITER} iterations, "
-                                   f"residual {np.max(np.abs(r)):.3e}")
-    y[1] = 0.0  # ddelta = omega = 0 holds exactly at any equilibrium
-    res = np.max(np.abs(full_residual(y)))
-    if res > EQUILIBRIUM_TOL:
+    if not v_target > 0.0:
+        raise EquilibriumError(f"terminal voltage target must be positive, got {v_target}")
+    x, u_eq = _coarse_equilibrium(params, v_target)
+    resid = np.append(derivatives(x, u_eq, params), terminal_voltage(x, params) - v_target)
+    res = np.max(np.abs(resid))
+    if not res <= EQUILIBRIUM_TOL:
         raise EquilibriumError(f"residual {res:.3e} above tolerance {EQUILIBRIUM_TOL}")
-    return y[:7].copy(), float(y[7])
+    return x, u_eq
 
 
 @dataclass
@@ -380,29 +348,18 @@ def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
         eigvals = linalg.eig(pencil_a, pencil_b, right=False)
     zeros = sorted((complex(z) for z in eigvals if np.isfinite(z)), key=lambda z: z.real)
     if len(zeros) != 6:
-        warnings.warn(
-            f"transmission-zero pencil looks ill-conditioned: {len(zeros)} finite zeros",
-            RuntimeWarning,
-        )
+        raise np.linalg.LinAlgError(
+            f"transmission-zero pencil is ill-conditioned: {len(zeros)} finite zeros")
     return LinearModel(a_mat=a_mat, b_vec=b_vec, c_vec=c_vec, zeros=zeros)
 
 
-@dataclass(frozen=True)
-class St1aConfig:
-    """Static high-gain exciter baseline: u = gain_product * (v_ref - v_t)."""
-
-    K_e: float = 200.0
-    rf_over_xad: float = 3.9056e-4
-
-    @property
-    def gain_product(self) -> float:
-        """Exciter gain K_e times the machine ratio r_f/x_ad."""
-        return self.K_e * self.rf_over_xad
+# static high-gain exciter baseline: K_e = 200 times the machine ratio r_f/x_ad
+ST1A_GAIN = 200.0 * 3.9056e-4
 
 
-def st1a_control(v_t: float, v_ref: float, cfg: St1aConfig = St1aConfig()) -> float:
+def st1a_control(v_t: float, v_ref: float) -> float:
     """Proportional exciter output (a perturbation on the equilibrium field voltage)."""
-    return cfg.gain_product * (v_ref - v_t)
+    return ST1A_GAIN * (v_ref - v_t)
 
 
 def load_machine_config(path) -> MachineParams:

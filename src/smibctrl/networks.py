@@ -77,10 +77,6 @@ def mlp_forward(net: Mlp, z) -> float:
     return float(_forward_batch(net, z[None])[0])
 
 
-def narx_predict(f_net: Mlp, g_net: Mlp, z, u: float) -> float:
-    return mlp_forward(f_net, z) + mlp_forward(g_net, z) * u
-
-
 def make_regressor(y_hist, u_hist) -> np.ndarray:
     """Regressor from newest-first output and input histories."""
     y_hist = np.asarray(y_hist, dtype=float)
@@ -153,9 +149,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.z.shape[0]
-
-    def record(self, k: int):
-        return self.z[k], float(self.u[k]), float(self.y_next[k])
 
 
 def _forward_batch(net: Mlp, Z: np.ndarray) -> np.ndarray:

@@ -1,15 +1,22 @@
 import os
 
+import numpy as np
 import pytest
 
 from smibctrl import machine
-from smibctrl.networks import load_weights
+from smibctrl.networks import load_weights, predict_batch
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def config_path(name: str) -> str:
     return os.path.join(CONFIGS, name)
+
+
+def predict_one(f_net, g_net, z, u: float) -> float:
+    """One-step NARX prediction through the batch path on a one-row batch."""
+    return float(predict_batch(f_net, g_net, np.asarray(z, dtype=float)[None],
+                               np.array([float(u)]))[0])
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,11 @@ from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
                               synthesize_poly)
 from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_validate,
                                excite_and_record, split)
-from smibctrl.networks import (Mlp, lm_train, narx_predict, theta_flatten,
-                               theta_unflatten, weight_jacobian)
+from smibctrl.networks import Mlp, lm_train, theta_flatten, theta_unflatten, weight_jacobian
 from smibctrl.scenarios import (TRACE_COLUMNS, Trace, damping_metric, parse_scenario,
                                 run_oracle_loop, run_scenario)
 
-from conftest import config_path
+from conftest import config_path, predict_one
 from test_scenarios import oracle_residuals, synthetic_f, synthetic_g
 
 
@@ -76,8 +75,8 @@ def test_criterion_02_weight_jacobian_vs_finite_differences():
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            numeric[j] = (narx_predict(*theta_unflatten(tp, 5, 5), z, u)
-                          - narx_predict(*theta_unflatten(tm, 5, 5), z, u)) / (2 * h)
+            numeric[j] = (predict_one(*theta_unflatten(tp, 5, 5), z, u)
+                          - predict_one(*theta_unflatten(tm, 5, 5), z, u)) / (2 * h)
         rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
         worst = max(worst, rel)
     assert worst <= 1e-6

@@ -190,7 +190,8 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("machine_line",
-                         ["x11 = 1e308", "D = 1e308", "H = 5e-324", "r_kd = 1e200"])
+                         ["x11 = 1e308", "D = 1e308", "H = 5e-324", "r_kd = 1e200",
+                          "L_f = 1e200"])
 def test_minphase_overflow_is_one_clean_failure_line(tmp_path, capsys, machine_line):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

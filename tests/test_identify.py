@@ -85,14 +85,14 @@ def test_regression_set_indexing_oracle():
     u = np.arange(20.0)
     y = np.arange(20.0) + 100.0
     data = build_regression_set(u, y)
-    z, u0, y_next = data.record(0)
+    z, u0, y_next = data.z[0], data.u[0], data.y_next[0]
     assert np.array_equal(z[:7], [106, 105, 104, 103, 102, 101, 100])
     assert np.array_equal(z[7:], [5, 4, 3, 2, 1, 0])
     assert u0 == 6.0
     assert y_next == 107.0
     # self-consistency: every stored slice matches the source series
     for k in range(len(data)):
-        zk, uk, yk = data.record(k)
+        zk, uk, yk = data.z[k], data.u[k], data.y_next[k]
         assert np.array_equal(zk[:7], y[k + 6 :: -1][:7])
         assert np.array_equal(zk[7:], u[k + 5 :: -1][:6])
         assert yk == y[k + 7]

@@ -9,8 +9,8 @@ from scipy import linalg
 
 from smibctrl import machine
 from smibctrl.configio import ConfigError
-from smibctrl.machine import (MachineParams, St1aConfig, derivatives, dq_currents,
-                              dq_voltages, find_equilibrium, inductance_matrix, linearize,
+from smibctrl.machine import (MachineParams, derivatives, dq_currents, dq_voltages,
+                              find_equilibrium, inductance_matrix, linearize,
                               load_machine_config, rk4_step, st1a_control, terminal_voltage)
 
 from conftest import config_path
@@ -163,18 +163,38 @@ def test_rk4_step_doubling(ref_params, nominal_eq):
     assert diff_h / diff_h2 >= 12.0  # local error drops at least ~order 3.5
 
 
+def perturbed_operating_points(ref, n, seed):
+    """Seeded machines and voltage targets spread around the reference."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = dataclasses.replace(
+            ref, P_m=rng.uniform(0.05, 3.0), H=ref.H * rng.uniform(0.05, 5.0),
+            D=rng.uniform(0.0, 0.1), r_s=ref.r_s * rng.uniform(0.2, 5.0),
+            r11=ref.r11 * rng.uniform(0.2, 5.0), x11=ref.x11 * rng.uniform(0.2, 3.0),
+            v_inf=rng.uniform(0.8, 1.2), speed_coupled_z=bool(rng.integers(2)))
+        yield params, rng.uniform(0.8, 2.3)
+
+
 def test_find_equilibrium_definitional(ref_params):
-    for v_target in (1.0, 1.5):
-        state, u_eq = find_equilibrium(ref_params, v_target)
-        resid = np.concatenate((derivatives(state, u_eq, ref_params),
-                                [terminal_voltage(state, ref_params) - v_target]))
+    cases = [(ref_params, 1.0), (ref_params, 1.5)]
+    cases += perturbed_operating_points(ref_params, 40, seed=7)
+    for k, (params, v_target) in enumerate(cases):
+        try:
+            state, u_eq = find_equilibrium(params, v_target)
+        except machine.EquilibriumError:
+            assert k >= 2, "the reference machine must reach 1.0 and 1.5 pu"
+            continue
+        resid = np.concatenate((derivatives(state, u_eq, params),
+                                [terminal_voltage(state, params) - v_target]))
         assert np.max(np.abs(resid)) <= 1e-10
         assert state[1] == 0.0
 
 
 def test_find_equilibrium_reports_failure(ref_params):
-    with pytest.raises(machine.EquilibriumError):
-        find_equilibrium(ref_params, 0.2)
+    for v_target, message in ((0.2, "no stable-branch equilibrium"),
+                              (-1.0, "must be positive"), (0.0, "must be positive")):
+        with pytest.raises(machine.EquilibriumError, match=message):
+            find_equilibrium(ref_params, v_target)
 
 
 def test_linearize_angle_row(ref_params, nominal_eq):
@@ -211,17 +231,15 @@ def test_minimum_phase_and_open_loop_stability(ref_params, v_target):
 
 
 def test_st1a_examples():
-    cfg = St1aConfig()
-    assert st1a_control(1.0, 1.0, cfg) == 0.0
-    assert abs(st1a_control(1.0, 1.1, cfg) - 0.00781) <= 1.5e-6
-    assert abs(st1a_control(1.1, 1.0, cfg) + 0.00781) <= 1.5e-6
+    assert st1a_control(1.0, 1.0) == 0.0
+    assert abs(st1a_control(1.0, 1.1) - 0.00781) <= 1.5e-6
+    assert abs(st1a_control(1.1, 1.0) + 0.00781) <= 1.5e-6
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-10, 10))
 def test_st1a_is_linear(v_t, v_ref, alpha):
-    cfg = St1aConfig()
-    lhs = st1a_control(alpha * v_t, alpha * v_ref, cfg)
-    rhs = alpha * st1a_control(v_t, v_ref, cfg)
+    lhs = st1a_control(alpha * v_t, alpha * v_ref)
+    rhs = alpha * st1a_control(v_t, v_ref)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

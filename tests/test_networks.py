@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smibctrl.networks import (Dataset, Mlp, _jacobian_batch, lm_train, load_weights,
-                               make_regressor, mlp_forward, mse_cost, narx_predict,
-                               predict_batch, save_weights, theta_flatten, theta_unflatten,
-                               weight_jacobian)
+                               make_regressor, mlp_forward, mse_cost, predict_batch,
+                               save_weights, theta_flatten, theta_unflatten, weight_jacobian)
+
+from conftest import predict_one
 
 
 def random_net(p=5, seed=0):
@@ -48,10 +49,10 @@ def test_forward_dimension_mismatch():
 def test_predict_affine_structure():
     f_net, g_net = random_net(seed=1), random_net(seed=2)
     z = random_regressor(3)
-    assert narx_predict(f_net, g_net, z, 0.0) == mlp_forward(f_net, z)
+    assert predict_one(f_net, g_net, z, 0.0) == mlp_forward(f_net, z)
     zero_f = Mlp(np.zeros((5, 13)), np.zeros(5), np.zeros(5), 0.0)
     u = 0.37
-    assert narx_predict(zero_f, g_net, z, u) == mlp_forward(g_net, z) * u
+    assert predict_one(zero_f, g_net, z, u) == mlp_forward(g_net, z) * u
 
 
 def test_predict_matches_manual_expression():
@@ -70,7 +71,7 @@ def test_predict_matches_manual_expression():
         return total
 
     expected = manual(f_net) + manual(g_net) * u
-    assert narx_predict(f_net, g_net, z, u) == pytest.approx(expected, abs=1e-14)
+    assert predict_one(f_net, g_net, z, u) == pytest.approx(expected, abs=1e-14)
 
 
 @given(st.floats(-2, 2), st.floats(-2, 2), st.integers(0, 1000))
@@ -78,10 +79,10 @@ def test_predict_matches_manual_expression():
 def test_predict_exactly_affine_in_u(u1, u2, seed):
     f_net, g_net = random_net(seed=seed), random_net(seed=seed + 1)
     z = random_regressor(seed)
-    lhs = (narx_predict(f_net, g_net, z, u1 + u2)
-           - narx_predict(f_net, g_net, z, u1)
-           - narx_predict(f_net, g_net, z, u2)
-           + narx_predict(f_net, g_net, z, 0.0))
+    lhs = (predict_one(f_net, g_net, z, u1 + u2)
+           - predict_one(f_net, g_net, z, u1)
+           - predict_one(f_net, g_net, z, u2)
+           + predict_one(f_net, g_net, z, 0.0))
     assert abs(lhs) <= 1e-14
 
 
@@ -127,8 +128,8 @@ def fd_jacobian(f_net, g_net, z, u, h=1e-6):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
-        fp = narx_predict(*theta_unflatten(tp, f_net.n_hidden, g_net.n_hidden), z, u)
-        fm = narx_predict(*theta_unflatten(tm, f_net.n_hidden, g_net.n_hidden), z, u)
+        fp = predict_one(*theta_unflatten(tp, f_net.n_hidden, g_net.n_hidden), z, u)
+        fm = predict_one(*theta_unflatten(tm, f_net.n_hidden, g_net.n_hidden), z, u)
         out[k] = (fp - fm) / (2.0 * h)
     return out
 
@@ -184,8 +185,7 @@ def test_mse_matches_naive_loop():
     data = make_dataset(31, seed=6)
     total = 0.0
     for k in range(len(data)):
-        z, u, y = data.record(k)
-        total += (y - narx_predict(f_net, g_net, z, u)) ** 2
+        total += (data.y_next[k] - predict_one(f_net, g_net, data.z[k], data.u[k])) ** 2
     assert mse_cost(f_net, g_net, data) == pytest.approx(total / (2 * len(data)), abs=1e-14)
 
 
