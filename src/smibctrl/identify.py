@@ -36,8 +36,8 @@ class ExcitationPlan:
             raise ValueError("n_samples too small to form any regressor")
         if self.hold < 1:
             raise ValueError("hold must be at least 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not self.dt / MICRO_STEPS > 0.0:  # dt = 5e-324 would give RK4 steps of 0.0
+            raise ValueError(f"dt must be positive with dt / {MICRO_STEPS} > 0, got {self.dt}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -22,6 +22,7 @@ from scipy import linalg
 from .configio import ConfigError, fields_schema, read_config
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
+_dgetrf = linalg.lapack.dgetrf
 _dgetrs = linalg.lapack.dgetrs
 
 
@@ -94,20 +95,29 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
 
 
 class _Plant(NamedTuple):
-    """One `MachineParams` compiled for integration: the LU factors of L,
-    the resistance sign pattern and the steady-flux matrix K."""
+    """One `MachineParams` compiled for integration: the LU factors of L and
+    of the steady-flux matrix K, and the constants of `_rates` as floats."""
 
     params: MachineParams
     lu: np.ndarray
     piv: np.ndarray
-    r_diag: np.ndarray
-    K: np.ndarray
+    k_lu: np.ndarray | None          # None when K is exactly singular
+    k_piv: np.ndarray
+    r_diag: tuple                    # (r_s, r_s, -r_f, -r_kd, -r_kq)
+    omega_b: float
+    w_2h: float                      # omega_b / (2 H)
+    P_m: float
+    D: float
+    r11: float
+    x11: float
+    speed_coupled_z: bool
 
 
 @lru_cache(maxsize=128)
 def _assembled(params: MachineParams) -> _Plant:
     """Cached compilation of params; K = (R + M) L^-1 + Z is the matrix of
-    `_steady_state`.  A non-finite K surfaces there as a named failure."""
+    `_steady_state`, kept as its LU factors.  A non-finite K surfaces there as
+    a named failure."""
     L = inductance_matrix(params)
     with np.errstate(over="ignore", invalid="ignore"):
         det = float(np.linalg.det(L))
@@ -121,7 +131,11 @@ def _assembled(params: MachineParams) -> _Plant:
         K = RM @ np.linalg.inv(L)
     K[0, 1] += 1.0
     K[1, 0] -= 1.0
-    return _Plant(params, lu, piv, r_diag, K)
+    k_lu, k_piv, info = _dgetrf(K)
+    p = params
+    return _Plant(p, lu, piv, None if info > 0 else k_lu, k_piv, tuple(r_diag.tolist()),
+                  float(p.omega_b), p.omega_b / (2.0 * p.H), float(p.P_m), float(p.D),
+                  float(p.r11), float(p.x11), p.speed_coupled_z)
 
 
 def _bus_voltage(params: MachineParams, delta: float):
@@ -131,37 +145,51 @@ def _bus_voltage(params: MachineParams, delta: float):
             -params.v_inf * (params.B * sin_d - params.A * cos_d))
 
 
+# The kernel below works on Python floats: NumPy's per-call cost on 5- and
+# 7-element arrays is most of an RK4 step.  Its one array operation is the
+# LAPACK solve on the cached LU factors of L, and every float operation keeps
+# the order of the array arithmetic it replaced, so results are bitwise equal.
+# A float overflow yields inf, never an exception (there is no `**`), and the
+# non-finite value fails a named check at the next stage.  Stage states are
+# tuples because dgetrs converts a tuple slice faster than a list slice.
+
 def _currents(plant: _Plant, lam) -> np.ndarray:
     # dgetrs, unlike lu_solve, does not reject a non-finite right-hand side
-    if not np.isfinite(lam).all():
+    if not all(map(math.isfinite, lam)):
         raise DivergenceError("winding fluxes are not finite")
     return _dgetrs(plant.lu, plant.piv, lam)[0]
 
 
 def _voltages(plant: _Plant, x):
+    """Currents (a list of 5 floats) and stator voltages at the 7-float state x."""
+    # before math.sin, which raises ValueError on an infinite angle
     if not math.isfinite(x[0]):
         raise DivergenceError("power angle is not finite")
-    p = plant.params
-    i = _currents(plant, x[2:])
-    w_d, w_q = _bus_voltage(p, x[0])
-    v_d = p.r11 * i[0] - p.x11 * i[1] + w_d
-    v_q = p.r11 * i[1] + p.x11 * i[0] + w_q
+    i = _currents(plant, x[2:]).tolist()
+    w_d, w_q = _bus_voltage(plant.params, x[0])
+    v_d = plant.r11 * i[0] - plant.x11 * i[1] + w_d
+    v_q = plant.r11 * i[1] + plant.x11 * i[0] + w_q
     return i, v_d, v_q
 
 
-def _rates(plant: _Plant, x, u: float) -> np.ndarray:
-    p = plant.params
+def _rates(plant: _Plant, x, u: float) -> tuple:
+    """State rate dx/dt at the 7-float state x, as 7 floats."""
     i, v_d, v_q = _voltages(plant, x)
-    lam = x[2:]
-    s = 1.0 + x[1] / p.omega_b if p.speed_coupled_z else 1.0
-    dlam = plant.r_diag * i
-    dlam[0] += s * lam[1] + v_d
-    dlam[1] += -s * lam[0] + v_q
-    dlam[2] += u
-    dlam *= p.omega_b
-    P_e = lam[0] * i[1] - lam[1] * i[0]
-    domega = p.omega_b / (2.0 * p.H) * (p.P_m - P_e - p.D * x[1])
-    return np.concatenate(([x[1], domega], dlam))
+    w_b = plant.omega_b
+    r = plant.r_diag
+    s = 1.0 + x[1] / w_b if plant.speed_coupled_z else 1.0
+    P_e = x[2] * i[1] - x[3] * i[0]
+    return (x[1],
+            plant.w_2h * (plant.P_m - P_e - plant.D * x[1]),
+            (r[0] * i[0] + (s * x[3] + v_d)) * w_b,
+            (r[1] * i[1] + (-s * x[2] + v_q)) * w_b,
+            (r[2] * i[2] + u) * w_b,
+            r[3] * i[3] * w_b,
+            r[4] * i[4] * w_b)
+
+
+def _floats(x) -> tuple:
+    return tuple(np.asarray(x, dtype=float).tolist())
 
 
 def dq_currents(lam, params: MachineParams) -> np.ndarray:
@@ -176,17 +204,18 @@ def dq_voltages(x, params: MachineParams):
     v_q); a symmetric pairing would invert the sense of voltage regulation
     and destabilize any positive-gain exciter.
     """
-    return _voltages(_assembled(params), x)
+    i, v_d, v_q = _voltages(_assembled(params), _floats(x))
+    return np.array(i), v_d, v_q
 
 
 def terminal_voltage(x, params: MachineParams) -> float:
-    _, v_d, v_q = dq_voltages(x, params)
+    _, v_d, v_q = _voltages(_assembled(params), _floats(x))
     return math.hypot(v_d, v_q)
 
 
 def derivatives(x, u: float, params: MachineParams) -> np.ndarray:
     """State rate dx/dt at the given field voltage."""
-    return _rates(_assembled(params), x, u)
+    return np.array(_rates(_assembled(params), _floats(x), u))
 
 
 def rk4_step(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
@@ -194,15 +223,18 @@ def rk4_step(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     plant = _assembled(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rates(plant, x, u)
-        k2 = _rates(plant, x + 0.5 * dt * k1, u)
-        k3 = _rates(plant, x + 0.5 * dt * k2, u)
-        k4 = _rates(plant, x + dt * k3, u)
-        x1 = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x1)):
+    x = _floats(x)
+    u = float(u)
+    h = 0.5 * dt
+    k1 = _rates(plant, x, u)
+    k2 = _rates(plant, tuple([a + h * k for a, k in zip(x, k1)]), u)
+    k3 = _rates(plant, tuple([a + h * k for a, k in zip(x, k2)]), u)
+    k4 = _rates(plant, tuple([a + dt * k for a, k in zip(x, k3)]), u)
+    c = dt / 6.0
+    x1 = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x1)):
         raise DivergenceError("rk4_step produced a non-finite state")
-    return x1
+    return np.array(x1)
 
 
 def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
@@ -211,8 +243,11 @@ def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
     With delta and u frozen the flux dynamics are linear, so the steady
     fluxes solve [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
     """
+    plant = _assembled(params)
+    if plant.k_lu is None:
+        raise np.linalg.LinAlgError("Singular matrix")
     w = np.array([*_bus_voltage(params, delta), u, 0.0, 0.0])
-    return np.concatenate(([delta, 0.0], np.linalg.solve(_assembled(params).K, -w)))
+    return np.concatenate(([delta, 0.0], _dgetrs(plant.k_lu, plant.k_piv, -w)[0]))
 
 
 def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int):

@@ -64,8 +64,9 @@ class ScenarioConfig:
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.dt_control > 0:
-            raise ScenarioError("dt_control must be positive")
+        if not self.dt_control / MICRO_STEPS > 0.0:  # 5e-324 would give RK4 steps of 0.0
+            raise ScenarioError(f"dt_control must be positive with dt_control / {MICRO_STEPS}"
+                                f" > 0, got {self.dt_control}")
         if not 1.0 <= self.t_end / self.dt_control < math.inf:
             raise ScenarioError("t_end must be finite and at least dt_control")
         times = [e.time for e in self.events]

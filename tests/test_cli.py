@@ -267,6 +267,7 @@ def _non_utf8_weights(tmp_path):
 BAD_INPUTS = {
     "identify hold 0": lambda tmp: _identify_with(tmp, "hold = 0\n"),
     "identify seed -1": lambda tmp: _identify_with(tmp, "n_samples = 100\nseed = -1\n"),
+    "identify dt underflow": lambda tmp: _identify_with(tmp, "n_samples = 100\ndt = 5e-324\n"),
     "train fraction 1.5": lambda tmp: _train_on(tmp, "train_fraction = 1.5\n"),
     "train max_iter 0": lambda tmp: _train_on(tmp, "max_iter = 0\n"),
     "controller d0 -1": lambda tmp: _simulate_with_controller(
@@ -276,6 +277,7 @@ BAD_INPUTS = {
     "controller p 1e9": lambda tmp: _simulate_with_controller(
         tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\np = 1000000000\n"),
     "scenario t_end -1": lambda tmp: _simulate(tmp, "t_end = -1\n"),
+    "scenario dt underflow": lambda tmp: _simulate(tmp, "t_end = 5e-324\ndt_control = 5e-324\n"),
     "scenario scale_H 0": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H 0\n"),
     "scenario v_ref nan": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = nan\n"),
     "scenario v_ref inf": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = inf\n"),
@@ -343,6 +345,19 @@ def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
                         f"p = {p}\npole = {pole}\nnu = {nu}\nd0 = {d0}\ng_min = {g_min}\n")
         assert cli_dispatch(_simulate(tmp, "t_end = 0.02\n", ctrl)) in (0, 2, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.sampled_from(MACHINE_KEYS), FUZZ_VALUES, max_size=2),
+           st.dictionaries(st.sampled_from(["dt", "u_min", "u_max"]), FUZZ_VALUES, max_size=3),
+           st.one_of(FUZZ_VALUES, st.integers(-1, 50).map(str)))
+    def identification(machine_values, plan_values, hold):
+        (tmp / "m.cfg").write_text("".join(f"{k} = {v}\n" for k, v in machine_values.items()))
+        cfg = tmp / "i.cfg"
+        cfg.write_text("machine = m.cfg\nn_samples = 40\n" + f"hold = {hold}\n"
+                       + "".join(f"{k} = {v}\n" for k, v in plan_values.items()))
+        argv = ["identify", "--config", str(cfg), "--out", str(tmp / "d.csv")]
+        assert cli_dispatch(argv) in (0, 2, 3)
+
     minphase()
     simulate()
     controller()
+    identification()

@@ -41,15 +41,16 @@ def test_excitation_deterministic(ref_params, short_recording):
 
 
 def test_recording_reproduces_shipped_dataset():
-    # the first 2 000 samples of identify_ref.cfg's plan against dataset_ref.csv
+    # all 10 000 samples of identify_ref.cfg's plan against dataset_ref.csv
     cfg = config_path("identify_ref.cfg")
     values = read_config(cfg, "identify", {"machine": Key(parse_str),
                                            "v_target": Key(parse_float),
                                            **fields_schema(ExcitationPlan)})
     params = load_machine_config(resolve_path(cfg, values.pop("machine")))
     v_target = values.pop("v_target")
-    u, y = excite_and_record(params, ExcitationPlan(**{**values, "n_samples": 2000}), v_target)
-    shipped = read_table(config_path("dataset_ref.csv"), ("k", "u", "y"), "dataset")[:2000]
+    u, y = excite_and_record(params, ExcitationPlan(**values), v_target)
+    shipped = read_table(config_path("dataset_ref.csv"), ("k", "u", "y"), "dataset")
+    assert len(u) == len(shipped) == 10000
     assert np.max(np.abs(u - shipped[:, 1])) <= 1e-10
     assert np.max(np.abs(y - shipped[:, 2])) <= 1e-10
 

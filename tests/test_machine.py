@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,88 @@ def test_non_finite_flux_is_divergence(ref_params, nominal_eq, bad):
         terminal_voltage(x, ref_params)
     with pytest.raises(machine.DivergenceError):
         derivatives(x, u_eq, ref_params)
+
+
+def reference_kernel(params, lu, x, u):
+    """The NumPy array arithmetic the float kernel replaced, solving with lu_solve:
+    rates, currents and stator voltages at one state."""
+    p = params
+    lam = x[2:]
+    i = linalg.lu_solve(lu, lam)
+    sin_d, cos_d = math.sin(x[0]), math.cos(x[0])
+    w_d = p.v_inf * (p.A * sin_d + p.B * cos_d)
+    w_q = -p.v_inf * (p.B * sin_d - p.A * cos_d)
+    v_d = p.r11 * i[0] - p.x11 * i[1] + w_d
+    v_q = p.r11 * i[1] + p.x11 * i[0] + w_q
+    s = 1.0 + x[1] / p.omega_b if p.speed_coupled_z else 1.0
+    dlam = np.array([p.r_s, p.r_s, -p.r_f, -p.r_kd, -p.r_kq]) * i
+    dlam[0] += s * lam[1] + v_d
+    dlam[1] += -s * lam[0] + v_q
+    dlam[2] += u
+    dlam *= p.omega_b
+    P_e = lam[0] * i[1] - lam[1] * i[0]
+    domega = p.omega_b / (2.0 * p.H) * (p.P_m - P_e - p.D * x[1])
+    return np.concatenate(([x[1], domega], dlam)), i, v_d, v_q
+
+
+def reference_rk4_step(params, lu, x, u, dt):
+    def f(z):
+        return reference_kernel(params, lu, z, u)[0]
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+ORACLE_MACHINES = {
+    "reference": {},
+    "speed-coupled": {"speed_coupled_z": True},
+    "perturbed": {"speed_coupled_z": True, "H": 3.1, "D": 0.07, "r_s": 0.011, "r_f": 4e-3,
+                  "r_kd": 0.035, "L_ad": 0.72, "L_fkd": 0.71, "r11": 0.03, "x11": 0.31,
+                  "A": 0.95, "B": 0.3, "v_inf": 1.07, "P_m": 0.9, "omega_b": 100.0 * math.pi},
+}
+
+
+@pytest.mark.parametrize("machine_case", sorted(ORACLE_MACHINES))
+def test_float_kernel_bitwise_equal_to_array_oracle(ref_params, nominal_eq, machine_case):
+    params = dataclasses.replace(ref_params, **ORACLE_MACHINES[machine_case])
+    lu = linalg.lu_factor(inductance_matrix(params))
+    state, u_eq = nominal_eq
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        x = state + rng.normal(scale=[0.3, 5.0, 0.05, 0.05, 0.05, 0.05, 0.05])
+        u = u_eq + rng.normal(scale=0.3)
+        dt = rng.uniform(1e-5, 2e-3)
+        rates, i, v_d, v_q = reference_kernel(params, lu, x, u)
+        assert np.array_equal(rk4_step(x, u, dt, params), reference_rk4_step(params, lu, x, u, dt))
+        assert np.array_equal(derivatives(x, u, params), rates)
+        i_new, v_d_new, v_q_new = dq_voltages(x, params)
+        assert np.array_equal(i_new, i) and (v_d_new, v_q_new) == (v_d, v_q)
+        assert terminal_voltage(x, params) == math.hypot(v_d, v_q)
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (0, math.nan, "power angle"), (0, math.inf, "power angle"), (0, -math.inf, "power angle"),
+    (4, math.nan, "winding fluxes"), (4, math.inf, "winding fluxes"),
+    (2, -1e306, "winding fluxes"),   # the stage-2 fluxes overflow
+    (4, 1e306, "power angle"),       # P_e overflows, so the stage-3 angle is -inf
+    (1, 1e308, "rk4_step produced a non-finite state"),  # every stage is finite
+])
+def test_rk4_step_non_finite_is_divergence(ref_params, nominal_eq, index, value, message):
+    state, u_eq = nominal_eq
+    x = state.copy()
+    x[index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(machine.DivergenceError, match=message):
+            rk4_step(x, u_eq, 5e-4, ref_params)
+        if index == 0:
+            for evaluate in (lambda: terminal_voltage(x, ref_params),
+                             lambda: derivatives(x, u_eq, ref_params)):
+                with pytest.raises(machine.DivergenceError, match=message):
+                    evaluate()
 
 
 def test_singular_inductance_rejected():
