@@ -118,13 +118,18 @@ def online_update(theta: np.ndarray, jac: np.ndarray, e_star: float, d0: float) 
 
 
 class NeuralPlantModel:
-    """Adaptable two-network model exposing f(z), g(z) and the weight Jacobian."""
+    """Adaptable two-network model exposing f(z), g(z) and the weight Jacobian.
+
+    theta is the model's own copy of the weights and the only one: f_net
+    and g_net are views of it, so writing theta in place adapts both.
+    """
 
     adaptable = True
 
     def __init__(self, f_net: Mlp, g_net: Mlp):
-        self.f_net = f_net.copy()
-        self.g_net = g_net.copy()
+        self.theta = theta_flatten(f_net, g_net)
+        # unequal hidden sizes fail here
+        self.f_net, self.g_net = theta_unflatten(self.theta, f_net.n_hidden)
 
     def f(self, z) -> float:
         return mlp_forward(self.f_net, z)
@@ -134,16 +139,6 @@ class NeuralPlantModel:
 
     def jacobian(self, z, u: float) -> np.ndarray:
         return weight_jacobian(self.f_net, self.g_net, z, u)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return theta_flatten(self.f_net, self.g_net)
-
-    @theta.setter
-    def theta(self, value):
-        self.f_net, self.g_net = theta_unflatten(
-            value, self.f_net.n_hidden, self.g_net.n_hidden, self.f_net.n_in
-        )
 
 
 class ExactPlantModel:
@@ -227,7 +222,7 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
         if ctrl.adapt and ctrl.model.adaptable and abs(e_star) > ctrl.d0:
             # theta has not moved since the prediction, and u(k-1) is u_hist[0]
             jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
-            ctrl.model.theta = online_update(ctrl.model.theta, jac, e_star, ctrl.d0)
+            ctrl.model.theta[:] = online_update(ctrl.model.theta, jac, e_star, ctrl.d0)
             ctrl.last_adapted = True
 
     ctrl.y_hist = np.concatenate(([y_meas], ctrl.y_hist[:-1]))

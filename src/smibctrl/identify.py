@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import machine
-from .networks import Dataset, Mlp, N_LAGS_U, N_LAGS_Y, predict_batch
+from .networks import Dataset, Mlp, N_LAGS_U, N_LAGS_Y, REGRESSOR_LEN, predict_batch
 
 MICRO_STEPS = 4  # RK4 micro-steps per control sample
 
@@ -32,6 +32,8 @@ class ExcitationPlan:
     def __post_init__(self):
         if not self.u_min < self.u_max:
             raise ValueError("u_min must be below u_max")
+        if not math.isfinite(self.u_max - self.u_min):  # rng.uniform overflows on the span
+            raise ValueError(f"u_max - u_min must be finite, got {self.u_max - self.u_min}")
         if self.n_samples <= N_LAGS_Y + N_LAGS_U:
             raise ValueError("n_samples too small to form any regressor")
         if self.hold < 1:
@@ -69,21 +71,21 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     return u_series, y_series
 
 
-def build_regression_set(u_series, y_series, n: int = N_LAGS_Y, m: int = N_LAGS_U) -> Dataset:
+def build_regression_set(u_series, y_series) -> Dataset:
     """One record per admissible instant: z(k), u(k) and target y(k+1)."""
     u_series = np.asarray(u_series, dtype=float)
     y_series = np.asarray(y_series, dtype=float)
     N = len(y_series)
     if len(u_series) != N:
         raise ValueError("input and output series differ in length")
-    if N <= n:
-        raise ValueError(f"need more than {n} samples, got {N}")
-    ks = np.arange(n - 1, N - 1)
-    z = np.empty((len(ks), n + m))
-    for j in range(n):
+    if N <= N_LAGS_Y:
+        raise ValueError(f"need more than {N_LAGS_Y} samples, got {N}")
+    ks = np.arange(N_LAGS_Y - 1, N - 1)
+    z = np.empty((len(ks), REGRESSOR_LEN))
+    for j in range(N_LAGS_Y):
         z[:, j] = y_series[ks - j]
-    for j in range(m):
-        z[:, n + j] = u_series[ks - 1 - j]
+    for j in range(N_LAGS_U):
+        z[:, N_LAGS_Y + j] = u_series[ks - 1 - j]
     return Dataset(z=z, u=u_series[ks], y_next=y_series[ks + 1])
 
 

@@ -26,44 +26,37 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class Mlp:
-    """One-hidden-layer tanh network with a linear output neuron."""
+    """One-hidden-layer tanh network with a linear output neuron.
 
-    hidden_w: np.ndarray   # (p, n_in)
+    The four fields are arrays; theta_unflatten makes them views of one
+    weight vector, so writing that vector moves the network.
+    """
+
+    hidden_w: np.ndarray   # (p, REGRESSOR_LEN)
     hidden_b: np.ndarray   # (p,)
     out_w: np.ndarray      # (p,)
-    out_b: float
+    out_b: np.ndarray      # ()
 
     def __post_init__(self):
         self.hidden_w = np.asarray(self.hidden_w, dtype=float)
         self.hidden_b = np.asarray(self.hidden_b, dtype=float)
         self.out_w = np.asarray(self.out_w, dtype=float)
-        self.out_b = float(self.out_b)
-        p, n_in = self.hidden_w.shape
-        if self.hidden_b.shape != (p,) or self.out_w.shape != (p,):
+        self.out_b = np.asarray(self.out_b, dtype=float)
+        p = self.hidden_w.shape[0] if self.hidden_w.ndim else 0
+        if (self.hidden_w.shape != (p, REGRESSOR_LEN) or self.hidden_b.shape != (p,)
+                or self.out_w.shape != (p,) or self.out_b.shape != ()):
             raise ValueError("inconsistent network dimensions")
 
     @property
     def n_hidden(self) -> int:
         return self.hidden_w.shape[0]
 
-    @property
-    def n_in(self) -> int:
-        return self.hidden_w.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        p, n = self.hidden_w.shape
-        return p * n + 2 * p + 1
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.hidden_w.copy(), self.hidden_b.copy(), self.out_w.copy(), self.out_b)
-
     @classmethod
-    def random(cls, n_hidden: int, n_in: int = REGRESSOR_LEN, rng=None) -> "Mlp":
+    def random(cls, n_hidden: int, rng=None) -> "Mlp":
         """Weights and biases uniform in [-0.5, 0.5]."""
         rng = np.random.default_rng(rng)
         return cls(
-            hidden_w=rng.uniform(-0.5, 0.5, size=(n_hidden, n_in)),
+            hidden_w=rng.uniform(-0.5, 0.5, size=(n_hidden, REGRESSOR_LEN)),
             hidden_b=rng.uniform(-0.5, 0.5, size=n_hidden),
             out_w=rng.uniform(-0.5, 0.5, size=n_hidden),
             out_b=rng.uniform(-0.5, 0.5),
@@ -72,8 +65,8 @@ class Mlp:
 
 def mlp_forward(net: Mlp, z) -> float:
     z = np.asarray(z, dtype=float)
-    if z.shape != (net.n_in,):
-        raise ValueError(f"regressor length {z.shape} does not match network input {net.n_in}")
+    if z.shape != (REGRESSOR_LEN,):
+        raise ValueError(f"regressor shape {z.shape} is not ({REGRESSOR_LEN},)")
     return float(_forward_batch(net, z[None])[0])
 
 
@@ -94,34 +87,28 @@ def make_regressor(y_hist, u_hist) -> np.ndarray:
 def theta_flatten(f_net: Mlp, g_net: Mlp) -> np.ndarray:
     parts = []
     for net in (f_net, g_net):
-        parts.extend((net.hidden_w.ravel(), net.hidden_b, net.out_w, [net.out_b]))
+        parts.extend((net.hidden_w.ravel(), net.hidden_b, net.out_w, net.out_b[None]))
     return np.concatenate(parts)
 
 
-def theta_unflatten(theta, p_f: int, p_g: int, n_in: int = REGRESSOR_LEN):
+def theta_unflatten(theta, p: int):
+    """The two networks of hidden size p, their fields views of theta (no copies).
+
+    A theta that does not hold two networks of hidden size p is a ValueError.
+    """
     theta = np.asarray(theta, dtype=float)
-    expected = (p_f + p_g) * (n_in + 2) + 2
-    if theta.shape != (expected,):
-        raise ValueError(f"theta length {theta.shape} does not match networks ({expected})")
-    nets = []
-    k = 0
-    for p in (p_f, p_g):
-        w = theta[k:k + p * n_in].reshape(p, n_in)
-        k += p * n_in
-        b = theta[k:k + p]
-        k += p
-        ow = theta[k:k + p]
-        k += p
-        ob = theta[k]
-        k += 1
-        nets.append(Mlp(w.copy(), b.copy(), ow.copy(), float(ob)))
-    return nets[0], nets[1]
+    w_end = p * REGRESSOR_LEN
+    if theta.shape != (2 * (w_end + 2 * p + 1),):
+        raise ValueError(f"theta shape {theta.shape} does not match two networks of p={p}")
+    return tuple(Mlp(row[:w_end].reshape(p, REGRESSOR_LEN), row[w_end:w_end + p],
+                     row[w_end + p:-1], row[-1:].reshape(()))
+                 for row in theta.reshape(2, -1))
 
 
 def weight_jacobian(f_net: Mlp, g_net: Mlp, z, u: float) -> np.ndarray:
     """Gradient of the one-step prediction w.r.t. the joint parameter vector."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (f_net.n_in,) or z.shape != (g_net.n_in,):
+    if z.shape != (REGRESSOR_LEN,):
         raise ValueError("regressor length does not match the networks")
     return _jacobian_batch(f_net, g_net, z[None], np.array([float(u)]))[0]
 
@@ -171,16 +158,18 @@ def _jacobian_batch(f_net: Mlp, g_net: Mlp, Z: np.ndarray, U: np.ndarray) -> np.
     """Rows of d(y_hat)/d(theta) for the whole batch."""
 
     def block(net, scale):
+        # f's block has scale 1: x * 1.0 == x exactly, so one code path serves both
         T = np.tanh(Z @ net.hidden_w.T + net.hidden_b)      # (N, p)
         S = (1.0 - T * T) * net.out_w                        # (N, p)
-        if scale is not None:
-            T = T * scale[:, None]
-            S = S * scale[:, None]
+        S *= scale[:, None]
+        T *= scale[:, None]
         JW = (S[:, :, None] * Z[:, None, :]).reshape(Z.shape[0], -1)
-        ones = np.ones((Z.shape[0], 1)) if scale is None else scale[:, None]
-        return np.hstack((JW, S, T, ones))
+        return np.hstack((JW, S, T, scale[:, None]))
 
-    return np.hstack((block(f_net, None), block(g_net, U)))
+    return np.hstack((block(f_net, np.ones(Z.shape[0])), block(g_net, U)))
+
+
+LM_MU0 = 1e-2   # initial Levenberg-Marquardt damping
 
 
 @dataclass
@@ -193,26 +182,25 @@ class LmState:
 
 
 def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
-             cost_tol: float = 0.0, mu0: float = 1e-2):
+             cost_tol: float = 0.0):
     """Joint batch training of both networks.
 
     Iterates theta <- theta + s with (J'J + mu I) s = -J'e over the whole
     batch, where e is the prediction error y_hat - y.  mu is divided by 10
     on an accepted step and multiplied by 10 while a trial step increases
-    the cost.  Returns (f_net, g_net, LmState); the accepted-step cost
-    sequence is non-increasing.
+    the cost.  Returns (f_net, g_net, LmState), the networks views of the
+    final theta; the accepted-step cost sequence is non-increasing.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    f_net, g_net = f_net.copy(), g_net.copy()
-    n = len(data)
-    state = LmState(mu=mu0)
+    p = f_net.n_hidden
+    theta = theta_flatten(f_net, g_net)
+    f_net, g_net = theta_unflatten(theta, p)   # unequal hidden sizes fail here
+    state = LmState(mu=LM_MU0)
     cost = mse_cost(f_net, g_net, data)
     state.cost_history.append(cost)
-    p_f, p_g = f_net.n_hidden, g_net.n_hidden
-    theta = theta_flatten(f_net, g_net)
     identity = np.eye(theta.size)
 
     for it in range(max_iter):
@@ -233,7 +221,7 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                     f"normal-equation solve failed at mu={state.mu:.3e}, cond~{cond:.3e}"
                 ) from exc
             trial = theta + step
-            f_try, g_try = theta_unflatten(trial, p_f, p_g, f_net.n_in)
+            f_try, g_try = theta_unflatten(trial, p)
             trial_cost = mse_cost(f_try, g_try, data)
             if np.isfinite(trial_cost) and trial_cost < cost:
                 theta, cost = trial, trial_cost
@@ -257,11 +245,10 @@ WEIGHT_FORMAT = "narx-v1"
 
 def save_weights(path, f_net: Mlp, g_net: Mlp) -> None:
     """Plain-text weight file: header then one value per line in flat order."""
-    if f_net.n_hidden != g_net.n_hidden or f_net.n_in != g_net.n_in:
+    if f_net.n_hidden != g_net.n_hidden:
         raise ValueError("weight file format requires equally sized networks")
-    theta = theta_flatten(f_net, g_net)
-    lines = [f"{WEIGHT_FORMAT} p={f_net.n_hidden} in={f_net.n_in}"]
-    lines.extend(repr(float(v)) for v in theta)
+    lines = [f"{WEIGHT_FORMAT} p={f_net.n_hidden} in={REGRESSOR_LEN}"]
+    lines.extend(repr(float(v)) for v in theta_flatten(f_net, g_net))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -291,4 +278,4 @@ def load_weights(path):
                           f"found {len(values)}")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{path}: weight file holds a non-finite value")
-    return theta_unflatten(values, p, p, n_in)
+    return theta_unflatten(values, p)

@@ -75,8 +75,8 @@ def test_criterion_02_weight_jacobian_vs_finite_differences():
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            numeric[j] = (predict_one(*theta_unflatten(tp, 5, 5), z, u)
-                          - predict_one(*theta_unflatten(tm, 5, 5), z, u)) / (2 * h)
+            numeric[j] = (predict_one(*theta_unflatten(tp, 5), z, u)
+                          - predict_one(*theta_unflatten(tm, 5), z, u)) / (2 * h)
         rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
         worst = max(worst, rel)
     assert worst <= 1e-6

@@ -268,6 +268,8 @@ BAD_INPUTS = {
     "identify hold 0": lambda tmp: _identify_with(tmp, "hold = 0\n"),
     "identify seed -1": lambda tmp: _identify_with(tmp, "n_samples = 100\nseed = -1\n"),
     "identify dt underflow": lambda tmp: _identify_with(tmp, "n_samples = 100\ndt = 5e-324\n"),
+    "identify u range overflow": lambda tmp: _identify_with(
+        tmp, "n_samples = 100\nu_min = -1e308\nu_max = 1e308\n"),
     "train fraction 1.5": lambda tmp: _train_on(tmp, "train_fraction = 1.5\n"),
     "train max_iter 0": lambda tmp: _train_on(tmp, "max_iter = 0\n"),
     "controller d0 -1": lambda tmp: _simulate_with_controller(
@@ -357,7 +359,29 @@ def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
         argv = ["identify", "--config", str(cfg), "--out", str(tmp / "d.csv")]
         assert cli_dispatch(argv) in (0, 2, 3)
 
+    # hidden has no upper bound, so it stays small here; an omitted key takes
+    # its default, so some examples get as far as the LM iterations
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-2, 6), st.integers(-1, 3),
+           st.dictionaries(st.sampled_from(["train_fraction", "cost_tol", "seed"]), FUZZ_VALUES,
+                           max_size=3))
+    def training(hidden, max_iter, values):
+        argv = _train_on(tmp, f"hidden = {hidden}\nmax_iter = {max_iter}\n"
+                              + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert cli_dispatch(argv) in (0, 2, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FUZZ_VALUES)
+    def validation(train_fraction):
+        cfg = tmp / "v.cfg"
+        cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\n"
+                       f"weights = {config_path('narx_ref.nwt')}\n"
+                       f"train_fraction = {train_fraction}\n")
+        assert cli_dispatch(["validate", "--config", str(cfg)]) in (0, 2, 3)
+
     minphase()
     simulate()
     controller()
     identification()
+    training()
+    validation()

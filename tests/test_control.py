@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from smibctrl.control import (ControllerState, ExactPlantModel, NeuralPlantModel,
                               control_step, deadzone, linearizing_control, online_update,
                               synthesize_poly, u_tilde)
-from smibctrl.networks import Mlp
+from smibctrl.networks import Mlp, theta_flatten
 
 PRINTED_SEVENTH = [-4.9, 10.29, -12.005, 8.4035, -3.5295, 0.8235, -0.0824]
 
@@ -190,6 +190,30 @@ def test_control_step_adapts_on_large_error():
     control_step(ctrl, 1.0, 5.0, 0.0)  # big surprise
     assert not np.array_equal(ctrl.model.theta, theta0)
     assert ctrl.last_adapted
+
+
+def test_adaptation_writes_theta_in_place(shipped_nets):
+    f_net, g_net = shipped_nets
+    given_theta = theta_flatten(f_net, g_net)
+    model = NeuralPlantModel(f_net, g_net)
+    ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7] * 7),
+                                          nu=0.0, d0=1e-6, g_min=1e-3, adapt=True)
+    rng = np.random.default_rng(8)
+    adapted = 0
+    for _ in range(50):
+        control_step(ctrl, 1.1392, 1.1392 + 1e-3 * rng.normal(), 0.0)
+        adapted += ctrl.last_adapted
+    assert adapted == 49
+    assert not np.array_equal(model.theta, given_theta)
+    # the nets are views of theta, and the caller's nets are not touched
+    assert np.array_equal(theta_flatten(model.f_net, model.g_net), model.theta)
+    assert np.array_equal(theta_flatten(f_net, g_net), given_theta)
+
+
+def test_neural_model_rejects_unequal_hidden_sizes():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        NeuralPlantModel(Mlp.random(5, rng=rng), Mlp.random(4, rng=rng))
 
 
 def test_pss_zero_reduces_to_plain_linearizing_loop():

@@ -62,10 +62,10 @@ def test_predict_matches_manual_expression():
     u = -0.21
 
     def manual(net):
-        total = net.out_b
+        total = float(net.out_b)
         for i in range(net.n_hidden):
             pre = net.hidden_b[i]
-            for j in range(net.n_in):
+            for j in range(13):
                 pre += net.hidden_w[i, j] * z[j]
             total += net.out_w[i] * math.tanh(pre)
         return total
@@ -102,8 +102,38 @@ def test_theta_roundtrip(p, seed):
     f_net, g_net = Mlp.random(p, rng=rng), Mlp.random(p, rng=rng)
     theta = theta_flatten(f_net, g_net)
     assert theta.shape == (2 * (p * 13 + 2 * p + 1),)
-    f2, g2 = theta_unflatten(theta, p, p)
+    f2, g2 = theta_unflatten(theta, p)
     assert np.array_equal(theta_flatten(f2, g2), theta)
+
+
+def test_theta_unflatten_nets_are_views_of_theta():
+    f_net, g_net = random_net(seed=41), random_net(seed=42)
+    theta = theta_flatten(f_net, g_net)
+    f2, g2 = theta_unflatten(theta, 5)
+    z = random_regressor(43)
+    before = predict_one(f2, g2, z, 0.3)
+    theta += 0.25
+    # every field, the 0-d output biases included, moved with theta
+    assert np.array_equal(theta_flatten(f2, g2), theta)
+    assert predict_one(f2, g2, z, 0.3) != before
+    assert predict_one(f_net, g_net, z, 0.3) == before
+
+
+def test_network_shape_is_checked():
+    with pytest.raises(ValueError):
+        Mlp(np.zeros((5, 12)), np.zeros(5), np.zeros(5), 0.0)
+    with pytest.raises(ValueError):
+        Mlp(np.zeros((5, 13)), np.zeros(5), np.zeros(5), np.zeros(1))
+    with pytest.raises(ValueError):
+        theta_unflatten(np.zeros(152), 4)
+
+
+def test_unequal_hidden_sizes_rejected(tmp_path):
+    f_net, g_net = random_net(p=5), random_net(p=4, seed=1)
+    with pytest.raises(ValueError):
+        lm_train(f_net, g_net, make_dataset(10))
+    with pytest.raises(ValueError):
+        save_weights(tmp_path / "nets.nwt", f_net, g_net)
 
 
 def test_theta_default_length():
@@ -116,7 +146,7 @@ def test_jacobian_trivial_components():
     z = random_regressor(9)
     u = 0.83
     jac = weight_jacobian(f_net, g_net, z, u)
-    n_f = f_net.n_params
+    n_f = theta_flatten(f_net, g_net).size // 2
     assert jac[n_f - 1] == 1.0          # f-net output bias
     assert jac[2 * n_f - 1] == u        # g-net output bias scales with u
 
@@ -128,8 +158,8 @@ def fd_jacobian(f_net, g_net, z, u, h=1e-6):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
-        fp = predict_one(*theta_unflatten(tp, f_net.n_hidden, g_net.n_hidden), z, u)
-        fm = predict_one(*theta_unflatten(tm, f_net.n_hidden, g_net.n_hidden), z, u)
+        fp = predict_one(*theta_unflatten(tp, f_net.n_hidden), z, u)
+        fm = predict_one(*theta_unflatten(tm, f_net.n_hidden), z, u)
         out[k] = (fp - fm) / (2.0 * h)
     return out
 

@@ -1,0 +1,49 @@
+"""The names the benchmark harness under perfbench/ wraps or calls.
+
+perfbench/tracing.py replaces module attributes of smibctrl for the
+length of a traced run, and perfbench/run.py reads the cache statistics
+of machine._assembled; a refactor that renames one of them breaks the
+benchmark, not the program, so these checks pin them here.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+
+from smibctrl import control, machine, networks
+
+TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_is_defined_on_its_owner():
+    tracing = load_tracing()
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing.WRAPS
+               if attr not in owner.__dict__]
+    assert missing == []
+
+
+def test_assembled_cache_statistics_exist():
+    machine._assembled(machine.MachineParams())
+    assert machine._assembled.cache_info().currsize >= 1
+    machine._assembled.cache_clear()
+    assert machine._assembled.cache_info().currsize == 0
+
+
+def test_tracer_records_a_span_and_restores_the_names():
+    tracing = load_tracing()
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in tracing.WRAPS]
+    net = networks.Mlp.random(5, rng=0)
+    with tracing.Tracer() as tracer:
+        control.mlp_forward(net, np.zeros(13))
+    assert tracer.names == ["networks.mlp_forward"]
+    assert tracer.end[0] >= tracer.start[0]
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
