@@ -1,14 +1,24 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from smibctrl.configio import ConfigError
 from smibctrl.control import synthesize_poly
-from smibctrl.scenarios import (Event, ScenarioError, Trace,
-                                UndefinedMetricError, compare_traces, damping_metric,
+from smibctrl.scenarios import (Event, ScenarioError, Trace, UndefinedMetricError,
+                                _find_peaks, compare_traces, damping_metric,
                                 load_controller_config, parse_scenario, run_oracle_loop,
                                 run_scenario)
 
 from conftest import config_path
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def synthetic_f(z):
@@ -83,6 +93,66 @@ def test_damping_metric_undefined_for_constant():
                   adapted=np.zeros_like(t))
     with pytest.raises(UndefinedMetricError):
         damping_metric(trace, 0.0)
+
+
+@pytest.mark.parametrize("where", [1000, -1])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_damping_metric_rejects_non_finite_angle(where, value):
+    t = np.arange(0.0, 5.0, 0.002)
+    delta = np.exp(-t) * np.cos(2 * np.pi * t)
+    delta[where] = value
+    trace = Trace(t=t, v_ref=np.zeros_like(t), v_t=np.zeros_like(t),
+                  v_f=np.zeros_like(t), delta=delta, omega=np.zeros_like(t),
+                  e_star=np.zeros_like(t), adapted=np.zeros_like(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UndefinedMetricError, match="not finite"):
+            damping_metric(trace, 0.0)
+
+
+SHIPPED_TRACES = ["big_swing", "h_drift", "pm_drop", "pss_step_nu0", "pss_step_nu3",
+                  "step_far_neural", "step_nominal_neural", "step_nominal_st1a"]
+
+
+@pytest.mark.parametrize("t_from", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("name", SHIPPED_TRACES)
+def test_find_peaks_matches_scipy_on_shipped_traces(name, t_from):
+    trace = Trace.from_csv(os.path.join(REPO, "results", f"{name}.csv"))
+    d = trace.delta[trace.t >= t_from]
+    x = np.abs(d - d[-1])
+    amp = float(np.max(x))
+    expected, _ = find_peaks(x, height=1e-3 * amp, prominence=1e-4 * amp)
+    assert len(expected) >= 2
+    assert np.array_equal(_find_peaks(x, 1e-3 * amp, 1e-4 * amp), expected)
+
+
+# small integers give plateaus, ties and flat tops at either end
+_samples = st.one_of(st.lists(st.integers(0, 3).map(float), max_size=60),
+                     st.lists(st.floats(-4.0, 4.0), max_size=60))
+_threshold = st.one_of(st.integers(-1, 4).map(float), st.floats(-1.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples, _threshold, _threshold)
+@example([], 0.0, 0.0)
+@example([1.0], 0.0, 0.0)
+@example([1.0, 2.0], 0.0, 0.0)
+@example([0.0, 1.0, 0.0], 1.0, 1.0)
+@example([2.0, 2.0, 1.0, 3.0, 3.0], 0.0, 0.0)
+def test_find_peaks_matches_scipy_on_random_sequences(samples, height, prominence):
+    x = np.array(samples, dtype=float)
+    expected, _ = find_peaks(x, height=height, prominence=prominence)
+    assert np.array_equal(_find_peaks(x, height, prominence), expected)
+
+
+def test_package_import_skips_scipy_signal():
+    paths = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = ("import sys, smibctrl.cli, smibctrl.scenarios; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_trace_csv_roundtrip(tmp_path):
