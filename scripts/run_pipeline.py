@@ -4,8 +4,10 @@
 Records both excitation datasets, trains the two-network model and
 validates it on the held-out halves.  All seeds are pinned in the config
 files, so the two datasets are reproduced bit for bit.  The retrained
-configs/narx_ref.nwt matches the committed file only to about 5e-9, and
-the gap depends on the number of BLAS threads.
+configs/narx_ref.nwt matches the committed file only to about 2e-8
+(1.9e-8 with one BLAS thread, 1.7e-8 with two): the committed file was
+trained with J'e summed in another order, which changes J'e only in its
+last bits (relative 2e-15).
 """
 
 import os

@@ -154,19 +154,29 @@ def mse_cost(f_net: Mlp, g_net: Mlp, data: Dataset) -> float:
     return float(0.5 * np.mean(e * e))
 
 
-def _jacobian_batch(f_net: Mlp, g_net: Mlp, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Rows of d(y_hat)/d(theta) for the whole batch."""
+def _jacobian_batch(f_net: Mlp, g_net: Mlp, Z: np.ndarray, U: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of d(y_hat)/d(theta) for the whole batch, as an (N, n_theta) array.
 
-    def block(net, scale):
-        # f's block has scale 1: x * 1.0 == x exactly, so one code path serves both
+    The entries live in one C-ordered (n_theta, N) array, one row per weight,
+    and the result is its transpose; out, when given, is that array.
+    """
+    N, p = Z.shape[0], f_net.n_hidden
+    w_end = p * REGRESSOR_LEN
+    n = w_end + 2 * p + 1   # weights per network
+    jt = np.empty((2 * n, N)) if out is None else out
+    for net, scale, rows in ((f_net, None, jt[:n]), (g_net, U, jt[n:])):
         T = np.tanh(Z @ net.hidden_w.T + net.hidden_b)      # (N, p)
         S = (1.0 - T * T) * net.out_w                        # (N, p)
-        S *= scale[:, None]
-        T *= scale[:, None]
-        JW = (S[:, :, None] * Z[:, None, :]).reshape(Z.shape[0], -1)
-        return np.hstack((JW, S, T, scale[:, None]))
-
-    return np.hstack((block(f_net, np.ones(Z.shape[0])), block(g_net, U)))
+        if scale is not None:   # f's scale is 1: skipping x * 1.0 changes no bits
+            S *= scale[:, None]
+            T *= scale[:, None]
+        np.multiply(S.T[:, None, :], Z.T[None, :, :],
+                    out=rows[:w_end].reshape(p, REGRESSOR_LEN, N))
+        rows[w_end:w_end + p] = S.T
+        rows[w_end + p:-1] = T.T
+        rows[-1] = 1.0 if scale is None else scale
+    return jt.T
 
 
 LM_MU0 = 1e-2   # initial Levenberg-Marquardt damping
@@ -178,7 +188,7 @@ class LmState:
 
     mu: float
     cost_history: list = field(default_factory=list)
-    iteration: int = 0
+    iteration: int = 0   # passes that took a step or tried to: len(cost_history) - 1
 
 
 def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
@@ -202,15 +212,16 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     cost = mse_cost(f_net, g_net, data)
     state.cost_history.append(cost)
     identity = np.eye(theta.size)
+    jt = np.empty((theta.size, len(data)))   # J', refilled every iteration
 
     for it in range(max_iter):
-        state.iteration = it + 1
         if cost <= cost_tol:
             break
+        state.iteration = it + 1
         e = predict_batch(f_net, g_net, data.z, data.u) - data.y_next
-        jac = _jacobian_batch(f_net, g_net, data.z, data.u)
-        jtj = jac.T @ jac
-        jte = jac.T @ e
+        _jacobian_batch(f_net, g_net, data.z, data.u, out=jt)
+        jtj = jt @ jt.T
+        jte = jt @ e
         accepted = False
         for _ in range(60):
             try:

@@ -188,6 +188,38 @@ def test_jacobian_matches_finite_differences():
     assert worst_single <= 1e-14
 
 
+def hstack_jacobian(f_net, g_net, Z, U):
+    """The record-major Jacobian built block by block with np.hstack."""
+
+    def block(net, scale):
+        T = np.tanh(Z @ net.hidden_w.T + net.hidden_b)
+        S = (1.0 - T * T) * net.out_w
+        S *= scale[:, None]
+        T *= scale[:, None]
+        JW = (S[:, :, None] * Z[:, None, :]).reshape(Z.shape[0], -1)
+        return np.hstack((JW, S, T, scale[:, None]))
+
+    return np.hstack((block(f_net, np.ones(Z.shape[0])), block(g_net, U)))
+
+
+@pytest.mark.parametrize("p", [1, 5])
+@pytest.mark.parametrize("n", [1, 3, 257])
+def test_jacobian_batch_matches_hstack_construction(p, n):
+    rng = np.random.default_rng(100 * p + n)
+    f_net, g_net = Mlp.random(p, rng=rng), Mlp.random(p, rng=rng)
+    Z = rng.uniform(-1.5, 1.5, size=(n, 13))
+    U = rng.uniform(-1.0, 1.0, size=n)
+    expected = hstack_jacobian(f_net, g_net, Z, U)
+    assert expected.shape == (n, 2 * (15 * p + 1))
+    assert np.array_equal(_jacobian_batch(f_net, g_net, Z, U), expected)
+    out = np.full(expected.T.shape, np.nan)     # parameter-major: one row per weight
+    jac = _jacobian_batch(f_net, g_net, Z, U, out=out)
+    assert jac.shape == expected.shape
+    assert np.shares_memory(jac, out)
+    assert np.array_equal(out, expected.T)
+    assert np.array_equal(jac, expected)
+
+
 def make_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1, 1, size=(n, 13))
@@ -263,6 +295,36 @@ def test_lm_cost_history_non_increasing():
     hist = state.cost_history
     assert all(b <= a + 1e-18 for a, b in zip(hist, hist[1:]))
     assert state.mu > 0
+
+
+def _lm_case(case):
+    if case == "zero residual":
+        f_net, g_net = random_net(seed=1), random_net(seed=2)
+        data = make_dataset(20, seed=3)
+        data = Dataset(data.z, data.u, predict_batch(f_net, g_net, data.z, data.u))
+        return lm_train(f_net, g_net, data, max_iter=10)[2], 0
+    if case == "cost_tol":
+        f_net, g_net = random_net(seed=21), random_net(seed=22)
+        data = make_dataset(60, seed=23)
+        tol = lm_train(f_net, g_net, data, max_iter=10)[2].cost_history[3]
+        return lm_train(f_net, g_net, data, max_iter=10, cost_tol=tol)[2], 3
+    if case == "damping saturation":
+        # 10 records, 62 weights: the fit reaches rounding level, then no step is accepted
+        rng = np.random.default_rng(1)
+        state = lm_train(Mlp.random(2, rng=rng), Mlp.random(2, rng=rng), make_dataset(10, seed=2),
+                         max_iter=500)[2]
+        assert state.mu > 1e15 and state.cost_history[-1] == state.cost_history[-2]
+        return state, None
+    return lm_train(random_net(seed=21), random_net(seed=22), make_dataset(60, seed=23),
+                    max_iter=5)[2], 5
+
+
+@pytest.mark.parametrize("case", ["zero residual", "cost_tol", "damping saturation", "max_iter"])
+def test_lm_iteration_counts_the_steps_taken(case):
+    state, expected = _lm_case(case)
+    assert len(state.cost_history) == state.iteration + 1
+    if expected is not None:
+        assert state.iteration == expected
 
 
 def test_lm_validates_arguments():
