@@ -15,8 +15,6 @@ import numpy as np
 from . import machine
 from .networks import Dataset, Mlp, N_LAGS_U, N_LAGS_Y, REGRESSOR_LEN, predict_batch
 
-MICRO_STEPS = 4  # RK4 micro-steps per control sample
-
 
 @dataclass(frozen=True)
 class ExcitationPlan:
@@ -38,8 +36,9 @@ class ExcitationPlan:
             raise ValueError("n_samples too small to form any regressor")
         if self.hold < 1:
             raise ValueError("hold must be at least 1")
-        if not self.dt / MICRO_STEPS > 0.0:  # dt = 5e-324 would give RK4 steps of 0.0
-            raise ValueError(f"dt must be positive with dt / {MICRO_STEPS} > 0, got {self.dt}")
+        if not self.dt / machine.MICRO_STEPS > 0.0:  # dt = 5e-324 would give RK4 steps of 0.0
+            raise ValueError(f"dt must be positive with dt / {machine.MICRO_STEPS} > 0,"
+                             f" got {self.dt}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -59,13 +58,10 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     levels = rng.uniform(plan.u_min, plan.u_max, size=n_levels)
     u_series = np.repeat(levels, plan.hold)[: plan.n_samples]
     y_series = np.empty(plan.n_samples)
-    micro_dt = plan.dt / MICRO_STEPS
     for k in range(plan.n_samples):
         y_series[k] = machine.terminal_voltage(x, params)
-        u = u_eq + u_series[k]
         try:
-            for _ in range(MICRO_STEPS):
-                x = machine.rk4_step(x, u, micro_dt, params)
+            x = machine.advance(x, u_eq + u_series[k], plan.dt, params)
         except machine.DivergenceError as exc:
             raise machine.DivergenceError(f"simulation diverged at sample {k}") from exc
     return u_series, y_series

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -22,6 +22,7 @@ from scipy import linalg
 from .configio import ConfigError, fields_schema, read_config
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
+MICRO_STEPS = 4  # RK4 micro-steps per control period
 _dgetrf = linalg.lapack.dgetrf
 _dgetrs = linalg.lapack.dgetrs
 
@@ -95,22 +96,16 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
 
 
 class _Plant(NamedTuple):
-    """One `MachineParams` compiled for integration: the LU factors of L and
-    of the steady-flux matrix K, and the constants of `_rates` as floats."""
+    """One `MachineParams` compiled for integration: the LU factors of the
+    steady-flux matrix K, and the float kernels of `_kernels` on those of L."""
 
-    params: MachineParams
-    lu: np.ndarray
-    piv: np.ndarray
     k_lu: np.ndarray | None          # None when K is exactly singular
     k_piv: np.ndarray
-    r_diag: tuple                    # (r_s, r_s, -r_f, -r_kd, -r_kq)
-    omega_b: float
-    w_2h: float                      # omega_b / (2 H)
-    P_m: float
-    D: float
-    r11: float
-    x11: float
-    speed_coupled_z: bool
+    bus: Callable                    # delta -> (w_d, w_q)
+    currents: Callable               # lam -> i solving L i = lam
+    voltages: Callable               # x -> (currents, v_d, v_q)
+    rates: Callable                  # (x, u) -> dx/dt
+    step: Callable                   # (x, u, dt) -> x one RK4 step later
 
 
 @lru_cache(maxsize=128)
@@ -119,7 +114,7 @@ def _assembled(params: MachineParams) -> _Plant:
     `_steady_state`, kept as its LU factors.  A non-finite K surfaces there as
     a named failure."""
     L = inductance_matrix(params)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = float(np.linalg.det(L))
         if not np.isfinite(det) or abs(det) <= 1e-12:
             raise SingularInductanceError(f"|det L| = {abs(det):.3e} <= 1e-12")
@@ -132,60 +127,84 @@ def _assembled(params: MachineParams) -> _Plant:
     K[0, 1] += 1.0
     K[1, 0] -= 1.0
     k_lu, k_piv, info = _dgetrf(K)
-    p = params
-    return _Plant(p, lu, piv, None if info > 0 else k_lu, k_piv, tuple(r_diag.tolist()),
-                  float(p.omega_b), p.omega_b / (2.0 * p.H), float(p.P_m), float(p.D),
-                  float(p.r11), float(p.x11), p.speed_coupled_z)
+    return _Plant(None if info > 0 else k_lu, k_piv,
+                  *_kernels(params, lu, piv, r_diag.tolist()))
 
 
-def _bus_voltage(params: MachineParams, delta: float):
-    """dq components of the infinite-bus voltage seen at power angle delta."""
-    sin_d, cos_d = math.sin(delta), math.cos(delta)
-    return (params.v_inf * (params.A * sin_d + params.B * cos_d),
-            -params.v_inf * (params.B * sin_d - params.A * cos_d))
-
-
-# The kernel below works on Python floats: NumPy's per-call cost on 5- and
-# 7-element arrays is most of an RK4 step.  Its one array operation is the
-# LAPACK solve on the cached LU factors of L, and every float operation keeps
-# the order of the array arithmetic it replaced, so results are bitwise equal.
+# The kernels below work on Python floats: NumPy's per-call cost on 5- and
+# 7-element arrays is most of an RK4 step.  Every constant is a closure cell,
+# so an RK4 stage makes no attribute lookup, and its one array operation is
+# LAPACK's solve on the LU factors of L.  Every float operation keeps the
+# order of the array arithmetic it replaced, so results are bitwise equal.
 # A float overflow yields inf, never an exception (there is no `**`), and the
-# non-finite value fails a named check at the next stage.  Stage states are
-# tuples because dgetrs converts a tuple slice faster than a list slice.
+# non-finite value fails a named check at the next stage.  States are
+# 7-tuples because dgetrs converts a tuple slice faster than a list slice.
 
-def _currents(plant: _Plant, lam) -> np.ndarray:
-    # dgetrs, unlike lu_solve, does not reject a non-finite right-hand side
-    if not all(map(math.isfinite, lam)):
-        raise DivergenceError("winding fluxes are not finite")
-    return _dgetrs(plant.lu, plant.piv, lam)[0]
+def _kernels(p: MachineParams, lu, piv, r_diag):
+    """bus(delta), currents(lam), voltages(x), rates(x, u) and step(x, u, dt) of one plant."""
+    w_b, w_2h = float(p.omega_b), p.omega_b / (2.0 * p.H)
+    P_m, D, r11, x11 = float(p.P_m), float(p.D), float(p.r11), float(p.x11)
+    v_inf, A, B, coupled = p.v_inf, p.A, p.B, p.speed_coupled_z
+    r0, r1, r2, r3, r4 = r_diag
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
+    def bus(delta):
+        """dq components of the infinite-bus voltage seen at power angle delta."""
+        sin_d, cos_d = sin(delta), cos(delta)
+        return v_inf * (A * sin_d + B * cos_d), -v_inf * (B * sin_d - A * cos_d)
 
-def _voltages(plant: _Plant, x):
-    """Currents (a list of 5 floats) and stator voltages at the 7-float state x."""
-    # before math.sin, which raises ValueError on an infinite angle
-    if not math.isfinite(x[0]):
-        raise DivergenceError("power angle is not finite")
-    i = _currents(plant, x[2:]).tolist()
-    w_d, w_q = _bus_voltage(plant.params, x[0])
-    v_d = plant.r11 * i[0] - plant.x11 * i[1] + w_d
-    v_q = plant.r11 * i[1] + plant.x11 * i[0] + w_q
-    return i, v_d, v_q
+    def currents(lam):
+        """Winding currents solving L i = lam, as a 5-float array."""
+        # dgetrs, unlike lu_solve, does not reject a non-finite right-hand side
+        if not all(map(isfinite, lam)):
+            raise DivergenceError("winding fluxes are not finite")
+        return _dgetrs(lu, piv, lam)[0]
 
+    def voltages(x):
+        """Currents (a list of 5 floats) and stator voltages v_d, v_q."""
+        # before sin, which raises ValueError on an infinite angle
+        if not isfinite(x[0]):
+            raise DivergenceError("power angle is not finite")
+        i = currents(x[2:]).tolist()
+        w_d, w_q = bus(x[0])
+        return i, r11 * i[0] - x11 * i[1] + w_d, r11 * i[1] + x11 * i[0] + w_q
 
-def _rates(plant: _Plant, x, u: float) -> tuple:
-    """State rate dx/dt at the 7-float state x, as 7 floats."""
-    i, v_d, v_q = _voltages(plant, x)
-    w_b = plant.omega_b
-    r = plant.r_diag
-    s = 1.0 + x[1] / w_b if plant.speed_coupled_z else 1.0
-    P_e = x[2] * i[1] - x[3] * i[0]
-    return (x[1],
-            plant.w_2h * (plant.P_m - P_e - plant.D * x[1]),
-            (r[0] * i[0] + (s * x[3] + v_d)) * w_b,
-            (r[1] * i[1] + (-s * x[2] + v_q)) * w_b,
-            (r[2] * i[2] + u) * w_b,
-            r[3] * i[3] * w_b,
-            r[4] * i[4] * w_b)
+    def rates(x, u):
+        """State rate dx/dt as 7 floats."""
+        (i0, i1, i2, i3, i4), v_d, v_q = voltages(x)
+        _, omega, lam_d, lam_q, _, _, _ = x
+        s = 1.0 + omega / w_b if coupled else 1.0
+        P_e = lam_d * i1 - lam_q * i0
+        return (omega,
+                w_2h * (P_m - P_e - D * omega),
+                (r0 * i0 + (s * lam_q + v_d)) * w_b,
+                (r1 * i1 + (-s * lam_d + v_q)) * w_b,
+                (r2 * i2 + u) * w_b,
+                r3 * i3 * w_b,
+                r4 * i4 * w_b)
+
+    def step(x, u, dt):
+        """One classical Runge-Kutta step holding u constant."""
+        x0, x1, x2, x3, x4, x5, x6 = x
+        h = 0.5 * dt
+        a0, a1, a2, a3, a4, a5, a6 = rates(x, u)
+        b0, b1, b2, b3, b4, b5, b6 = rates((x0 + h * a0, x1 + h * a1, x2 + h * a2, x3 + h * a3,
+                                            x4 + h * a4, x5 + h * a5, x6 + h * a6), u)
+        c0, c1, c2, c3, c4, c5, c6 = rates((x0 + h * b0, x1 + h * b1, x2 + h * b2, x3 + h * b3,
+                                            x4 + h * b4, x5 + h * b5, x6 + h * b6), u)
+        d0, d1, d2, d3, d4, d5, d6 = rates((x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
+                                            x3 + dt * c3, x4 + dt * c4, x5 + dt * c5,
+                                            x6 + dt * c6), u)
+        w = dt / 6.0
+        x_new = (x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                 x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                 x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4), x5 + w * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+                 x6 + w * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
+        if not all(map(isfinite, x_new)):
+            raise DivergenceError("rk4_step produced a non-finite state")
+        return x_new
+
+    return bus, currents, voltages, rates, step
 
 
 def _floats(x) -> tuple:
@@ -194,7 +213,7 @@ def _floats(x) -> tuple:
 
 def dq_currents(lam, params: MachineParams) -> np.ndarray:
     """Winding currents solving L i = lambda."""
-    return _currents(_assembled(params), np.asarray(lam, dtype=float))
+    return _assembled(params).currents(np.asarray(lam, dtype=float))
 
 
 def dq_voltages(x, params: MachineParams):
@@ -204,37 +223,33 @@ def dq_voltages(x, params: MachineParams):
     v_q); a symmetric pairing would invert the sense of voltage regulation
     and destabilize any positive-gain exciter.
     """
-    i, v_d, v_q = _voltages(_assembled(params), _floats(x))
+    i, v_d, v_q = _assembled(params).voltages(_floats(x))
     return np.array(i), v_d, v_q
 
 
 def terminal_voltage(x, params: MachineParams) -> float:
-    _, v_d, v_q = _voltages(_assembled(params), _floats(x))
+    _, v_d, v_q = _assembled(params).voltages(_floats(x))
     return math.hypot(v_d, v_q)
 
 
 def derivatives(x, u: float, params: MachineParams) -> np.ndarray:
     """State rate dx/dt at the given field voltage."""
-    return np.array(_rates(_assembled(params), _floats(x), u))
+    return np.array(_assembled(params).rates(_floats(x), u))
 
 
 def rk4_step(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
     """One classical Runge-Kutta step holding u constant."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    plant = _assembled(params)
-    x = _floats(x)
-    u = float(u)
-    h = 0.5 * dt
-    k1 = _rates(plant, x, u)
-    k2 = _rates(plant, tuple([a + h * k for a, k in zip(x, k1)]), u)
-    k3 = _rates(plant, tuple([a + h * k for a, k in zip(x, k2)]), u)
-    k4 = _rates(plant, tuple([a + dt * k for a, k in zip(x, k3)]), u)
-    c = dt / 6.0
-    x1 = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, x1)):
-        raise DivergenceError("rk4_step produced a non-finite state")
-    return np.array(x1)
+    return np.array(_assembled(params).step(_floats(x), float(u), dt))
+
+
+def advance(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
+    """State one control period dt later: MICRO_STEPS RK4 steps holding u constant."""
+    h = dt / MICRO_STEPS
+    for _ in range(MICRO_STEPS):
+        x = rk4_step(x, u, h, params)  # the module attribute, which a tracer may wrap
+    return x
 
 
 def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
@@ -246,7 +261,7 @@ def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
     plant = _assembled(params)
     if plant.k_lu is None:
         raise np.linalg.LinAlgError("Singular matrix")
-    w = np.array([*_bus_voltage(params, delta), u, 0.0, 0.0])
+    w = np.array([*plant.bus(delta), u, 0.0, 0.0])
     return np.concatenate(([delta, 0.0], _dgetrs(plant.k_lu, plant.k_piv, -w)[0]))
 
 

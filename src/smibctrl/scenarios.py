@@ -19,7 +19,6 @@ from .configio import (ConfigError, Key, parse_bool, parse_float, parse_int,
                        write_table)
 from .control import (MAX_ORDER, ControllerState, ExactPlantModel, NeuralPlantModel,
                       PolePlacement, control_step, synthesize_poly)
-from .identify import MICRO_STEPS
 from .networks import N_LAGS_U, N_LAGS_Y, load_weights, make_regressor
 
 TRACE_COLUMNS = ("t", "v_ref", "v_t", "v_f", "delta", "omega", "e_star", "adapted")
@@ -63,9 +62,9 @@ class ScenarioConfig:
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.dt_control / MICRO_STEPS > 0.0:  # 5e-324 would give RK4 steps of 0.0
-            raise ScenarioError(f"dt_control must be positive with dt_control / {MICRO_STEPS}"
-                                f" > 0, got {self.dt_control}")
+        if not self.dt_control / machine.MICRO_STEPS > 0.0:  # 5e-324 would give steps of 0.0
+            raise ScenarioError(f"dt_control must be positive with dt_control"
+                                f" / {machine.MICRO_STEPS} > 0, got {self.dt_control}")
         if not 1.0 <= self.t_end / self.dt_control < math.inf:
             raise ScenarioError("t_end must be finite and at least dt_control")
         times = [e.time for e in self.events]
@@ -212,7 +211,6 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
             g_min=g_min, adapt=ctrl_cfg.adapt)
 
     n_steps = cfg.n_steps
-    micro_dt = cfg.dt_control / MICRO_STEPS
     pending = sorted(cfg.events, key=lambda e: e.time)
     v_ref = cfg.v_ref
     cols = {name: np.zeros(n_steps) for name in TRACE_COLUMNS}
@@ -245,8 +243,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         cols["e_star"][k] = e_star
         cols["adapted"][k] = adapted
         try:
-            for _ in range(MICRO_STEPS):
-                x = machine.rk4_step(x, u, micro_dt, params)
+            x = machine.advance(x, u, cfg.dt_control, params)
         except machine.DivergenceError as exc:
             raise machine.DivergenceError(f"scenario diverged at t = {t:.4f} s") from exc
     return Trace(**cols)

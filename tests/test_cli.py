@@ -221,6 +221,16 @@ def test_minphase_overflow_is_one_clean_failure_line(tmp_path, capsys, machine_l
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
 
 
+def test_subnormal_inductance_exits_2_without_a_warning(tmp_path, capsys):
+    argv = _minphase(tmp_path, "L_d = 0\nL_ad = 1e-320\nL_kd = 0\nL_aq = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # det L divides by zero on the subnormal entries
+        code = cli_dispatch(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "det L" in err and len(err.splitlines()) == 1
+
+
 TRACE_HEADER = "t,v_ref,v_t,v_f,delta,omega,e_star,adapted\n"
 
 

@@ -138,6 +138,59 @@ def test_float_kernel_bitwise_equal_to_array_oracle(ref_params, nominal_eq, mach
         assert terminal_voltage(x, params) == math.hypot(v_d, v_q)
 
 
+@pytest.mark.parametrize("machine_case", sorted(ORACLE_MACHINES))
+def test_advance_is_micro_steps_chained_rk4_steps(ref_params, nominal_eq, machine_case):
+    params = dataclasses.replace(ref_params, **ORACLE_MACHINES[machine_case])
+    state, u_eq = nominal_eq
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        x = state + rng.normal(scale=[0.3, 5.0, 0.05, 0.05, 0.05, 0.05, 0.05])
+        u = u_eq + rng.normal(scale=0.3)
+        dt = rng.uniform(4e-5, 8e-3)
+        chained = x
+        for _ in range(machine.MICRO_STEPS):
+            chained = rk4_step(chained, u, dt / machine.MICRO_STEPS, params)
+        assert np.array_equal(machine.advance(x, u, dt, params), chained)
+
+
+def test_advance_steps_through_the_module_attribute(ref_params, nominal_eq, monkeypatch):
+    # a tracer wraps machine.rk4_step; advance must not hold a private reference
+    state, u_eq = nominal_eq
+    original = machine.rk4_step
+    steps = []
+
+    def counted(x, u, dt, params):
+        steps.append(dt)
+        return original(x, u, dt, params)
+
+    monkeypatch.setattr(machine, "rk4_step", counted)
+    machine.advance(state, u_eq, 2e-3, ref_params)
+    assert steps == [2e-3 / machine.MICRO_STEPS] * machine.MICRO_STEPS
+
+
+@pytest.mark.parametrize("dt", [5e-324, 0.0, -2e-3])
+def test_advance_rejects_a_period_without_positive_steps(ref_params, nominal_eq, dt):
+    state, u_eq = nominal_eq
+    with pytest.raises(ValueError, match="dt must be positive"):
+        machine.advance(state, u_eq, dt, ref_params)
+
+
+def test_kernel_constants_belong_to_their_plant(ref_params, nominal_eq):
+    # H, P_m, D and x11 leave L unchanged, so one set of LU factors serves the oracle
+    lu = linalg.lu_factor(inductance_matrix(ref_params))
+    state, u_eq = nominal_eq
+    x = state + np.array([0.1, 2.0, 0.01, -0.01, 0.02, 0.0, -0.02])
+    scaled = dataclasses.replace(ref_params, H=0.5 * ref_params.H, P_m=0.9)
+    for params in [ref_params, scaled] * 3:  # as scale_H and set_Pm events alternate plants
+        assert np.array_equal(rk4_step(x, u_eq, 5e-4, params),
+                              reference_rk4_step(params, lu, x, u_eq, 5e-4))
+    many = [dataclasses.replace(ref_params, H=1.0 + 0.1 * j, P_m=0.5 + 0.01 * j,
+                                D=0.001 * j, x11=0.1 + 0.001 * j) for j in range(200)]
+    for params in many + many[:10]:  # more plants than the compilation cache holds
+        assert np.array_equal(rk4_step(x, u_eq, 5e-4, params),
+                              reference_rk4_step(params, lu, x, u_eq, 5e-4))
+
+
 @pytest.mark.parametrize("index, value, message", [
     (0, math.nan, "power angle"), (0, math.inf, "power angle"), (0, -math.inf, "power angle"),
     (4, math.nan, "winding fluxes"), (4, math.inf, "winding fluxes"),

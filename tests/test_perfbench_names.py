@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from smibctrl import control, machine, networks
+from smibctrl import control, identify, machine, networks
 
 TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "perfbench", "tracing.py")
@@ -47,3 +47,13 @@ def test_tracer_records_a_span_and_restores_the_names():
     assert tracer.names == ["networks.mlp_forward"]
     assert tracer.end[0] >= tracer.start[0]
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_traced_excitation_records_every_micro_step():
+    # identify's per-layer metrics count one machine.rk4_step span per micro-step
+    tracing = load_tracing()
+    plan = identify.ExcitationPlan(n_samples=identify.N_LAGS_Y + identify.N_LAGS_U + 1)
+    with tracing.Tracer() as tracer:
+        identify.excite_and_record(machine.MachineParams(), plan)
+    assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * plan.n_samples
+    assert tracer.names.count("identify.excite_and_record") == 1
