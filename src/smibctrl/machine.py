@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 from .configio import ConfigError, fields_schema, read_config
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
 MICRO_STEPS = 4  # RK4 micro-steps per control period
-_dgetrf = linalg.lapack.dgetrf
-_dgetrs = linalg.lapack.dgetrs
 
 
 class SingularInductanceError(ValueError):
@@ -78,7 +75,12 @@ class MachineParams:
             raise ValueError(f"H must be positive and finite, got {self.H}")
         if not self.omega_b > 0.0:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
+        # the dataclass hash of the fields, computed once: every plant lookup hashes params
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
         _assembled(self)  # raises SingularInductanceError on a bad L
+
+    def __hash__(self):
+        return self._hash
 
 
 def inductance_matrix(params: MachineParams) -> np.ndarray:
@@ -96,11 +98,10 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
 
 
 class _Plant(NamedTuple):
-    """One `MachineParams` compiled for integration: the LU factors of the
-    steady-flux matrix K, and the float kernels of `_kernels` on those of L."""
+    """One `MachineParams` compiled for integration: a solve with the steady-flux
+    matrix K, and the float kernels of `_kernels` on the LU factors of L."""
 
-    k_lu: np.ndarray | None          # None when K is exactly singular
-    k_piv: np.ndarray
+    steady: Callable | None          # rhs -> K^-1 rhs; None when K is exactly singular
     bus: Callable                    # delta -> (w_d, w_q)
     currents: Callable               # lam -> i solving L i = lam
     voltages: Callable               # x -> (currents, v_d, v_q)
@@ -112,13 +113,17 @@ class _Plant(NamedTuple):
 def _assembled(params: MachineParams) -> _Plant:
     """Cached compilation of params; K = (R + M) L^-1 + Z is the matrix of
     `_steady_state`, kept as its LU factors.  A non-finite K surfaces there as
-    a named failure."""
+    a named failure.  SciPy loads here, so a run that compiles no plant never
+    imports it."""
+    from scipy.linalg import lu_factor
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
     L = inductance_matrix(params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = float(np.linalg.det(L))
         if not np.isfinite(det) or abs(det) <= 1e-12:
             raise SingularInductanceError(f"|det L| = {abs(det):.3e} <= 1e-12")
-        lu, piv = linalg.lu_factor(L)
+        lu, piv = lu_factor(L)
         r_diag = np.array([params.r_s, params.r_s, -params.r_f, -params.r_kd, -params.r_kq])
         RM = np.diag(r_diag)
         RM[0, 0:2] += [params.r11, -params.x11]
@@ -126,9 +131,13 @@ def _assembled(params: MachineParams) -> _Plant:
         K = RM @ np.linalg.inv(L)
     K[0, 1] += 1.0
     K[1, 0] -= 1.0
-    k_lu, k_piv, info = _dgetrf(K)
-    return _Plant(None if info > 0 else k_lu, k_piv,
-                  *_kernels(params, lu, piv, r_diag.tolist()))
+    k_lu, k_piv, info = dgetrf(K)
+
+    def steady(rhs):
+        return dgetrs(k_lu, k_piv, rhs)[0]
+
+    return _Plant(None if info > 0 else steady,
+                  *_kernels(params, lu, piv, r_diag.tolist(), dgetrs))
 
 
 # The kernels below work on Python floats: NumPy's per-call cost on 5- and
@@ -140,8 +149,9 @@ def _assembled(params: MachineParams) -> _Plant:
 # non-finite value fails a named check at the next stage.  States are
 # 7-tuples because dgetrs converts a tuple slice faster than a list slice.
 
-def _kernels(p: MachineParams, lu, piv, r_diag):
-    """bus(delta), currents(lam), voltages(x), rates(x, u) and step(x, u, dt) of one plant."""
+def _kernels(p: MachineParams, lu, piv, r_diag, dgetrs):
+    """bus(delta), currents(lam), voltages(x), rates(x, u) and step(x, u, dt) of one plant;
+    dgetrs is LAPACK's solve on the LU factors lu, piv of L."""
     w_b, w_2h = float(p.omega_b), p.omega_b / (2.0 * p.H)
     P_m, D, r11, x11 = float(p.P_m), float(p.D), float(p.r11), float(p.x11)
     v_inf, A, B, coupled = p.v_inf, p.A, p.B, p.speed_coupled_z
@@ -158,7 +168,7 @@ def _kernels(p: MachineParams, lu, piv, r_diag):
         # dgetrs, unlike lu_solve, does not reject a non-finite right-hand side
         if not all(map(isfinite, lam)):
             raise DivergenceError("winding fluxes are not finite")
-        return _dgetrs(lu, piv, lam)[0]
+        return dgetrs(lu, piv, lam)[0]
 
     def voltages(x):
         """Currents (a list of 5 floats) and stator voltages v_d, v_q."""
@@ -259,10 +269,10 @@ def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
     fluxes solve [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
     """
     plant = _assembled(params)
-    if plant.k_lu is None:
+    if plant.steady is None:
         raise np.linalg.LinAlgError("Singular matrix")
     w = np.array([*plant.bus(delta), u, 0.0, 0.0])
-    return np.concatenate(([delta, 0.0], _dgetrs(plant.k_lu, plant.k_piv, -w)[0]))
+    return np.concatenate(([delta, 0.0], plant.steady(-w)))
 
 
 def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int):
@@ -367,6 +377,7 @@ class LinearModel:
 
 def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
     """Central finite-difference linearization and transmission zeros."""
+    x0 = np.asarray(x0, dtype=float)
     resid = np.max(np.abs(derivatives(x0, eq_u, params)))
     if resid > 1e-8:
         raise ValueError(f"point is not an equilibrium (residual {resid:.3e})")
@@ -393,9 +404,11 @@ def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
         raise DivergenceError("finite-difference small-signal model is not finite")
     pencil_b = np.zeros((8, 8))
     pencil_b[:7, :7] = np.eye(7)
+    from scipy.linalg import eig
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        eigvals = linalg.eig(pencil_a, pencil_b, right=False)
+        eigvals = eig(pencil_a, pencil_b, right=False)
     zeros = sorted((complex(z) for z in eigvals if np.isfinite(z)), key=lambda z: z.real)
     if len(zeros) != 6:
         raise np.linalg.LinAlgError(

@@ -191,6 +191,26 @@ def test_kernel_constants_belong_to_their_plant(ref_params, nominal_eq):
                               reference_rk4_step(params, lu, x, u_eq, 5e-4))
 
 
+def test_equal_params_hash_equal_and_share_one_plant(ref_params, nominal_eq):
+    state, u_eq = nominal_eq
+    machine._assembled.cache_clear()
+    a, b = MachineParams(H=7.25), MachineParams(H=7.25)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert np.array_equal(rk4_step(state, u_eq, 5e-4, a), rk4_step(state, u_eq, 5e-4, b))
+    assert machine._assembled.cache_info().currsize == 1
+    c = dataclasses.replace(a, H=3.5)
+    assert c != a and hash(c) != hash(a)
+    rk4_step(state, u_eq, 5e-4, c)
+    assert machine._assembled.cache_info().currsize == 2
+
+
+def test_cached_hash_is_the_field_tuple_hash_and_not_a_field():
+    p = MachineParams(P_m=1.2, speed_coupled_z=True)
+    assert hash(p) == hash(dataclasses.astuple(p))
+    assert "_hash" not in {f.name for f in dataclasses.fields(MachineParams)}
+    assert "_hash" not in repr(p)
+
+
 @pytest.mark.parametrize("index, value, message", [
     (0, math.nan, "power angle"), (0, math.inf, "power angle"), (0, -math.inf, "power angle"),
     (4, math.nan, "winding fluxes"), (4, math.inf, "winding fluxes"),
@@ -349,6 +369,12 @@ def test_linearize_rejects_non_equilibrium(ref_params, nominal_eq):
         linearize(ref_params, bad, u_eq)
 
 
+def test_linearize_accepts_any_state_sequence(ref_params, nominal_eq):
+    state, u_eq = nominal_eq
+    zeros = [linearize(ref_params, x, u_eq).zeros for x in (tuple(state), list(state), state)]
+    assert zeros[0] == zeros[1] == zeros[2]
+
+
 def test_relative_degree_one(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     model = linearize(ref_params, state, u_eq)
@@ -386,9 +412,10 @@ def test_machine_config_roundtrip(ref_params):
 
 def test_machine_config_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("H = 9.5\nfrobnicator = 1.0\n")
-    with pytest.raises(ConfigError):
-        load_machine_config(bad)
+    for key in ("frobnicator", "_hash"):  # the cached hash is not a config key
+        bad.write_text(f"H = 9.5\n{key} = 1.0\n")
+        with pytest.raises(ConfigError):
+            load_machine_config(bad)
 
 
 def test_machine_params_validation():

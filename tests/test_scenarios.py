@@ -145,14 +145,42 @@ def test_find_peaks_matches_scipy_on_random_sequences(samples, height, prominenc
     assert np.array_equal(_find_peaks(x, height, prominence), expected)
 
 
-def test_package_import_skips_scipy_signal():
+def _probe(code, *args):
+    """stdout of a fresh interpreter running code with the in-tree package."""
     paths = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    probe = ("import sys, smibctrl.cli, smibctrl.scenarios; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_package_import_skips_scipy_signal():
+    probe = ("import sys, smibctrl.cli, smibctrl.scenarios, smibctrl.identify, "
+             f"smibctrl.networks, smibctrl.control; print({SCIPY_LOADED})")
+    assert _probe(probe) == ["[]"]
+
+
+def test_scipy_loads_when_a_plant_is_compiled():
+    probe = ("import sys, smibctrl.machine as m; print('scipy.linalg' in sys.modules); "
+             "m.MachineParams(); print('scipy.linalg' in sys.modules)")
+    assert _probe(probe) == ["False", "True"]
+
+
+@pytest.mark.parametrize("command", ["train", "validate", "compare"])
+def test_offline_commands_run_without_scipy(tmp_path, command):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"dataset = {config_path('dataset_ref.csv')}\n"
+                   f"dataset = {config_path('dataset_dither.csv')}\nmax_iter = 2\n")
+    argv = {"train": ["train", "--config", str(cfg), "--out", str(tmp_path / "w.nwt")],
+            "validate": ["validate", "--config", config_path("validate_ref.cfg")],
+            "compare": ["compare", os.path.join(REPO, "results", "pss_step_nu0.csv"),
+                        os.path.join(REPO, "results", "pss_step_nu3.csv")]}[command]
+    probe = ("import sys; from smibctrl.cli import cli_dispatch; "
+             f"code = cli_dispatch(sys.argv[1:]); print(code, {SCIPY_LOADED})")
+    assert _probe(probe, *argv)[-1] == "0 []"
 
 
 def test_trace_csv_roundtrip(tmp_path):
