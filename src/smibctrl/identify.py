@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import machine
+from .configio import ConfigError
 from .networks import Dataset, Mlp, N_LAGS_U, N_LAGS_Y, REGRESSOR_LEN, predict_batch
 
 
@@ -52,12 +53,15 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     the output series is the terminal voltage, both sampled every plan.dt.
     Deterministic for a fixed seed.
     """
+    try:
+        y_series = np.empty(plan.n_samples)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"a record of {plan.n_samples} samples does not fit in memory") from exc
     x, u_eq = machine.find_equilibrium(params, v_target)
     rng = np.random.default_rng(plan.seed)
     n_levels = -(-plan.n_samples // plan.hold)
     levels = rng.uniform(plan.u_min, plan.u_max, size=n_levels)
     u_series = np.repeat(levels, plan.hold)[: plan.n_samples]
-    y_series = np.empty(plan.n_samples)
     for k in range(plan.n_samples):
         y_series[k] = machine.terminal_voltage(x, params)
         try:

@@ -36,6 +36,10 @@ class DivergenceError(RuntimeError):
     """Integration produced a non-finite state."""
 
 
+class SynchronismLost(DivergenceError):
+    """The rotor slipped a pole: |delta| reached pi against the infinite bus."""
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """Per-unit machine, network and operating constants.

@@ -180,73 +180,77 @@ def parse_scenario(path) -> ScenarioConfig:
                           events=list(values.pop("event")), **values)
 
 
-def _apply_event(params, event: Event):
+def _apply_event(params, v_ref, event: Event):
     if event.action == "scale_H":
         try:
-            return replace(params, H=params.H * event.value), None
+            return replace(params, H=params.H * event.value), v_ref
         except ValueError as exc:  # repeated factors can take H to 0 or inf
             raise ScenarioError(f"scale_H at t = {event.time:g} s: {exc}") from exc
     if event.action == "set_Pm":
-        return replace(params, P_m=event.value), None
+        return replace(params, P_m=event.value), v_ref
     return params, event.value  # set_vref
 
 
-def run_scenario(cfg: ScenarioConfig) -> Trace:
-    """Simulate one scripted closed-loop experiment."""
+def _control_law(ctrl_cfg: ControllerConfig, y_eq: float):
+    """The controller as one callable (v_ref, v_t, slip) -> (u_pert, e_star, adapted)."""
+    if ctrl_cfg.kind == "st1a":
+        return lambda v_ref, v_t, slip: (machine.st1a_control(v_t, v_ref), 0.0, 0.0)
+    if ctrl_cfg.kind == "none":
+        return lambda v_ref, v_t, slip: (0.0, 0.0, 0.0)
+    f_net, g_net = load_weights(ctrl_cfg.weights_path)
+    model = NeuralPlantModel(f_net, g_net)
+    z_eq = make_regressor(np.full(N_LAGS_Y, y_eq), np.zeros(N_LAGS_U))
+    g_min = ctrl_cfg.g_min
+    if g_min is None:
+        g_min = max(0.1 * abs(model.g(z_eq)), 1e-9)
+    state = ControllerState.at_equilibrium(
+        model, y_eq, placement=ctrl_cfg.placement, nu=ctrl_cfg.nu, d0=ctrl_cfg.d0,
+        g_min=g_min, adapt=ctrl_cfg.adapt)
+
+    def neural(v_ref, v_t, slip):
+        nonlocal state
+        u_pert, state = control_step(state, v_ref, v_t, slip)  # a tracer may wrap this name
+        return u_pert, state.last_e_star, float(state.last_adapted)
+
+    return neural
+
+
+def instants(cfg: ScenarioConfig):
+    """Rows of one scripted closed-loop experiment, one per control instant in
+    TRACE_COLUMNS order.  Raises SynchronismLost once |delta| reaches pi."""
     params = machine.load_machine_config(cfg.machine_path)
     ctrl_cfg = load_controller_config(cfg.controller_path)
     x, u_eq = machine.find_equilibrium(params, cfg.v_ref)
-    y_eq = machine.terminal_voltage(x, params)
-
-    controller = None
-    if ctrl_cfg.kind == "neural":
-        f_net, g_net = load_weights(ctrl_cfg.weights_path)
-        model = NeuralPlantModel(f_net, g_net)
-        z_eq = make_regressor(np.full(N_LAGS_Y, y_eq), np.zeros(N_LAGS_U))
-        g_min = ctrl_cfg.g_min
-        if g_min is None:
-            g_min = max(0.1 * abs(model.g(z_eq)), 1e-9)
-        controller = ControllerState.at_equilibrium(
-            model, y_eq, placement=ctrl_cfg.placement, nu=ctrl_cfg.nu, d0=ctrl_cfg.d0,
-            g_min=g_min, adapt=ctrl_cfg.adapt)
-
-    n_steps = cfg.n_steps
+    law = _control_law(ctrl_cfg, machine.terminal_voltage(x, params))
     pending = sorted(cfg.events, key=lambda e: e.time)
     v_ref = cfg.v_ref
-    cols = {name: np.zeros(n_steps) for name in TRACE_COLUMNS}
-
-    for k in range(n_steps):
+    for k in range(cfg.n_steps):
         t = k * cfg.dt_control
         while pending and pending[0].time <= t + EVENT_TIME_TOL:
-            params, new_ref = _apply_event(params, pending.pop(0))
-            if new_ref is not None:
-                v_ref = new_ref
+            params, v_ref = _apply_event(params, v_ref, pending.pop(0))
         v_t = machine.terminal_voltage(x, params)
-        e_star = 0.0
-        adapted = 0.0
-        if ctrl_cfg.kind == "neural":
-            slip = x[1] / params.omega_b
-            u_pert, controller = control_step(controller, v_ref, v_t, slip)
-            e_star = controller.last_e_star
-            adapted = float(controller.last_adapted)
-        elif ctrl_cfg.kind == "st1a":
-            u_pert = machine.st1a_control(v_t, v_ref)
-        else:
-            u_pert = 0.0
+        u_pert, e_star, adapted = law(v_ref, v_t, x[1] / params.omega_b)
         u = u_eq + u_pert
-        cols["t"][k] = t
-        cols["v_ref"][k] = v_ref
-        cols["v_t"][k] = v_t
-        cols["v_f"][k] = u
-        cols["delta"][k] = x[0]
-        cols["omega"][k] = x[1]
-        cols["e_star"][k] = e_star
-        cols["adapted"][k] = adapted
+        yield t, v_ref, v_t, u, x[0], x[1], e_star, adapted
         try:
             x = machine.advance(x, u, cfg.dt_control, params)
         except machine.DivergenceError as exc:
             raise machine.DivergenceError(f"scenario diverged at t = {t:.4f} s") from exc
-    return Trace(**cols)
+        if not abs(x[0]) < math.pi:
+            raise machine.SynchronismLost(f"loss of synchronism at t = {t + cfg.dt_control:.4f}"
+                                          f" s: |delta| = {abs(x[0]):.4g} rad")
+
+
+def run_scenario(cfg: ScenarioConfig) -> Trace:
+    """Simulate one scripted closed-loop experiment."""
+    try:
+        table = np.empty((len(TRACE_COLUMNS), cfg.n_steps))
+    except (MemoryError, ValueError) as exc:
+        raise ScenarioError(f"a trace of {cfg.n_steps:.4g} instants ({cfg.t_end:g} s)"
+                            " does not fit in memory") from exc
+    for k, row in enumerate(instants(cfg)):
+        table[:, k] = row
+    return Trace(*table)
 
 
 def run_oracle_loop(placement: PolePlacement, f_fun, g_fun, r_series,

@@ -183,6 +183,13 @@ def _simulate(tmp_path, scenario_lines, controller=config_path("ctrl_none.cfg"))
     return ["simulate", "--config", str(scen), "--out", str(tmp_path / "t.csv")]
 
 
+def _controller(tmp_path, neural_lines):
+    ctrl = tmp_path / "c.cfg"
+    ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
+                    + neural_lines)
+    return ctrl
+
+
 def _minphase(tmp_path, machine_lines):
     (tmp_path / "m.cfg").write_text(machine_lines)
     cfg = tmp_path / "mp.cfg"
@@ -196,6 +203,11 @@ NUMERICAL_FAILURES = {
     "scenario v_ref 1e200": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = 1e200\n"),
     "event set_vref 1e308": lambda tmp: _simulate(
         tmp, "t_end = 0.1\nevent = 0.05 set_vref 1e308\n", config_path("ctrl_st1a.cfg")),
+    # loops that slip a pole before any event (|delta| reaches pi)
+    "neural p 4 nu 0 slips": lambda tmp: _simulate(tmp, "t_end = 1.0\n", _controller(
+        tmp, "p = 4\npole = 0.7\nnu = 0\nd0 = 1e-4\n")),
+    "default controller nu 0 slips": lambda tmp: _simulate(tmp, "t_end = 0.2\n", _controller(
+        tmp, "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\ng_min = auto\nadapt = true\n")),
     "machine x11 1e308": lambda tmp: _minphase(tmp, "x11 = 1e308\n"),
     "machine D 1e308": lambda tmp: _minphase(tmp, "D = 1e308\n"),
 }
@@ -309,6 +321,13 @@ BAD_INPUTS = {
     "scenario t_end -1": lambda tmp: _simulate(tmp, "t_end = -1\n"),
     "scenario dt underflow": lambda tmp: _simulate(tmp, "t_end = 5e-324\ndt_control = 5e-324\n"),
     "scenario scale_H 0": lambda tmp: _simulate(tmp, "t_end = 0.1\nevent = 0.05 scale_H 0\n"),
+    "scenario t_end 1e12 too long": lambda tmp: _simulate(tmp, "t_end = 1e12\n"),
+    "scenario t_end 1e20 too long": lambda tmp: _simulate(tmp, "t_end = 1e20\n"),
+    "scenario t_end 1e200 too long": lambda tmp: _simulate(tmp, "t_end = 1e200\n"),
+    "identify n_samples 1e15 too long": lambda tmp: _identify_with(
+        tmp, "n_samples = 1000000000000000\n"),
+    "identify n_samples 1e30 too long": lambda tmp: _identify_with(
+        tmp, f"n_samples = {10**30}\n"),
     "scenario v_ref nan": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = nan\n"),
     "scenario v_ref inf": lambda tmp: _simulate(tmp, "t_end = 0.1\nv_ref = inf\n"),
     "scenario set_vref inf": lambda tmp: _simulate(

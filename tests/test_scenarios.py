@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+from smibctrl import scenarios
 from smibctrl.configio import ConfigError
 from smibctrl.control import synthesize_poly
+from smibctrl.machine import SynchronismLost
 from smibctrl.scenarios import (Event, ScenarioError, Trace, UndefinedMetricError,
                                 _find_peaks, compare_traces, damping_metric,
-                                load_controller_config, parse_scenario, run_oracle_loop,
-                                run_scenario)
+                                TRACE_COLUMNS, load_controller_config, parse_scenario,
+                                run_oracle_loop, run_scenario)
 
 from conftest import config_path
 
@@ -318,6 +321,32 @@ def test_event_applies_at_first_sample_not_before(tmp_path):
     k = int(round(0.1 / 0.002))
     assert np.all(trace.v_ref[:k] == 1.1392)
     assert np.all(trace.v_ref[k:] == 1.25)
+
+
+def test_instants_stream_is_the_trace_and_calls_control_step_once_per_row(monkeypatch):
+    cfg = parse_scenario(config_path("scen_pss_step.cfg"))
+    k = 1050  # past the set_vref event at 2 s
+    trace = run_scenario(cfg)
+    expected = np.array([getattr(trace, c)[:k] for c in TRACE_COLUMNS]).T
+    calls = []
+    real_step = scenarios.control_step
+    monkeypatch.setattr(scenarios, "control_step",
+                        lambda *args: calls.append(args) or real_step(*args))
+    rows = np.array(list(itertools.islice(scenarios.instants(cfg), k)))
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+    assert len(calls) == k
+
+
+def test_slipped_pole_raises_synchronism_lost(tmp_path):
+    ctrl = tmp_path / "c.cfg"  # ctrl_neural_default.cfg with nu = 0
+    ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
+                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\ng_min = auto\nadapt = true\n")
+    scen = tmp_path / "s.cfg"
+    scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
+                    "t_end = 0.2\n")
+    with pytest.raises(SynchronismLost, match="loss of synchronism at t = 0.1120 s"):
+        run_scenario(parse_scenario(scen))
 
 
 def test_shipped_scenarios_parse():
