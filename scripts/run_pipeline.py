@@ -4,10 +4,12 @@
 Records both excitation datasets, trains the two-network model and
 validates it on the held-out halves.  All seeds are pinned in the config
 files, so the two datasets are reproduced bit for bit.  The retrained
-configs/narx_ref.nwt matches the committed file only to about 2e-8
-(1.9e-8 with one BLAS thread, 1.7e-8 with two): the committed file was
-trained with J'e summed in another order, which changes J'e only in its
-last bits (relative 2e-15).
+configs/narx_ref.nwt matches the committed file only to about 3e-8
+(3.3e-8 with one BLAS thread): the committed file was trained on datasets
+recorded with an LU current solve, which differ from today's by up to
+2.1e-10, and with J'e summed in another order.  That is inside the 1e-7
+weight gate, but the retrained weights move the closed-loop traces by up to
+9.3e-9, over their 1e-10 gate, so commit the regenerated datasets only.
 """
 
 import os

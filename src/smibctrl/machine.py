@@ -102,10 +102,10 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
 
 
 class _Plant(NamedTuple):
-    """One `MachineParams` compiled for integration: a solve with the steady-flux
-    matrix K, and the float kernels of `_kernels` on the LU factors of L."""
+    """One `MachineParams` compiled for integration: the steady-flux matrix K,
+    and the float kernels of `_kernels` on the entries of L^-1."""
 
-    steady: Callable | None          # rhs -> K^-1 rhs; None when K is exactly singular
+    k_mat: np.ndarray                # K of `_steady_state`
     bus: Callable                    # delta -> (w_d, w_q)
     currents: Callable               # lam -> i solving L i = lam
     voltages: Callable               # x -> (currents, v_d, v_q)
@@ -116,50 +116,43 @@ class _Plant(NamedTuple):
 @lru_cache(maxsize=128)
 def _assembled(params: MachineParams) -> _Plant:
     """Cached compilation of params; K = (R + M) L^-1 + Z is the matrix of
-    `_steady_state`, kept as its LU factors.  A non-finite K surfaces there as
-    a named failure.  SciPy loads here, so a run that compiles no plant never
-    imports it."""
-    from scipy.linalg import lu_factor
-    from scipy.linalg.lapack import dgetrf, dgetrs
-
+    `_steady_state`.  A non-finite K surfaces there as a named failure."""
     L = inductance_matrix(params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = float(np.linalg.det(L))
         if not np.isfinite(det) or abs(det) <= 1e-12:
             raise SingularInductanceError(f"|det L| = {abs(det):.3e} <= 1e-12")
-        lu, piv = lu_factor(L)
+        L_inv = np.linalg.inv(L)
         r_diag = np.array([params.r_s, params.r_s, -params.r_f, -params.r_kd, -params.r_kq])
         RM = np.diag(r_diag)
         RM[0, 0:2] += [params.r11, -params.x11]
         RM[1, 0:2] += [params.x11, params.r11]
-        K = RM @ np.linalg.inv(L)
+        K = RM @ L_inv
     K[0, 1] += 1.0
     K[1, 0] -= 1.0
-    k_lu, k_piv, info = dgetrf(K)
-
-    def steady(rhs):
-        return dgetrs(k_lu, k_piv, rhs)[0]
-
-    return _Plant(None if info > 0 else steady,
-                  *_kernels(params, lu, piv, r_diag.tolist(), dgetrs))
+    return _Plant(K, *_kernels(params, L_inv.tolist(), r_diag.tolist()))
 
 
 # The kernels below work on Python floats: NumPy's per-call cost on 5- and
 # 7-element arrays is most of an RK4 step.  Every constant is a closure cell,
-# so an RK4 stage makes no attribute lookup, and its one array operation is
-# LAPACK's solve on the LU factors of L.  Every float operation keeps the
-# order of the array arithmetic it replaced, so results are bitwise equal.
-# A float overflow yields inf, never an exception (there is no `**`), and the
-# non-finite value fails a named check at the next stage.  States are
-# 7-tuples because dgetrs converts a tuple slice faster than a list slice.
+# so an RK4 stage makes no attribute lookup and no array operation.  L couples
+# the d-axis windings (d, f, kd) and the q-axis windings (q, kq) only among
+# themselves, and so does L^-1: its cross-block entries are exactly zero, so
+# i = L^-1 lam is 13 products, each current summed over its block's columns
+# in ascending order, bitwise equal to (L^-1 * lam).sum(axis=1).  Every other
+# float operation keeps the order of the array arithmetic it replaced.  A
+# float overflow yields inf, never an exception (there is no `**`), and the
+# non-finite value fails a named check at the next stage.
 
-def _kernels(p: MachineParams, lu, piv, r_diag, dgetrs):
+def _kernels(p: MachineParams, L_inv, r_diag):
     """bus(delta), currents(lam), voltages(x), rates(x, u) and step(x, u, dt) of one plant;
-    dgetrs is LAPACK's solve on the LU factors lu, piv of L."""
+    L_inv is L^-1 as nested lists."""
     w_b, w_2h = float(p.omega_b), p.omega_b / (2.0 * p.H)
     P_m, D, r11, x11 = float(p.P_m), float(p.D), float(p.r11), float(p.x11)
     v_inf, A, B, coupled = p.v_inf, p.A, p.B, p.speed_coupled_z
     r0, r1, r2, r3, r4 = r_diag
+    ((m00, _, m02, m03, _), (_, m11, _, _, m14), (m20, _, m22, m23, _),
+     (m30, _, m32, m33, _), (_, m41, _, _, m44)) = L_inv
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
     def bus(delta):
@@ -168,18 +161,22 @@ def _kernels(p: MachineParams, lu, piv, r_diag, dgetrs):
         return v_inf * (A * sin_d + B * cos_d), -v_inf * (B * sin_d - A * cos_d)
 
     def currents(lam):
-        """Winding currents solving L i = lam, as a 5-float array."""
-        # dgetrs, unlike lu_solve, does not reject a non-finite right-hand side
+        """Winding currents solving L i = lam, as 5 floats."""
         if not all(map(isfinite, lam)):
             raise DivergenceError("winding fluxes are not finite")
-        return dgetrs(lu, piv, lam)[0]
+        l0, l1, l2, l3, l4 = lam
+        return (m00 * l0 + m02 * l2 + m03 * l3,
+                m11 * l1 + m14 * l4,
+                m20 * l0 + m22 * l2 + m23 * l3,
+                m30 * l0 + m32 * l2 + m33 * l3,
+                m41 * l1 + m44 * l4)
 
     def voltages(x):
-        """Currents (a list of 5 floats) and stator voltages v_d, v_q."""
+        """Currents (5 floats) and stator voltages v_d, v_q."""
         # before sin, which raises ValueError on an infinite angle
         if not isfinite(x[0]):
             raise DivergenceError("power angle is not finite")
-        i = currents(x[2:]).tolist()
+        i = currents(x[2:])
         w_d, w_q = bus(x[0])
         return i, r11 * i[0] - x11 * i[1] + w_d, r11 * i[1] + x11 * i[0] + w_q
 
@@ -227,7 +224,7 @@ def _floats(x) -> tuple:
 
 def dq_currents(lam, params: MachineParams) -> np.ndarray:
     """Winding currents solving L i = lambda."""
-    return _assembled(params).currents(np.asarray(lam, dtype=float))
+    return np.array(_assembled(params).currents(_floats(lam)))
 
 
 def dq_voltages(x, params: MachineParams):
@@ -273,10 +270,8 @@ def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
     fluxes solve [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
     """
     plant = _assembled(params)
-    if plant.steady is None:
-        raise np.linalg.LinAlgError("Singular matrix")
     w = np.array([*plant.bus(delta), u, 0.0, 0.0])
-    return np.concatenate(([delta, 0.0], plant.steady(-w)))
+    return np.concatenate(([delta, 0.0], np.linalg.solve(plant.k_mat, -w)))
 
 
 def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int):
@@ -413,10 +408,16 @@ def linearize(params: MachineParams, x0, eq_u: float) -> LinearModel:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eigvals = eig(pencil_a, pencil_b, right=False)
-    zeros = sorted((complex(z) for z in eigvals if np.isfinite(z)), key=lambda z: z.real)
+    zeros = [complex(z) for z in eigvals if np.isfinite(z)]
     if len(zeros) != 6:
         raise np.linalg.LinAlgError(
             f"transmission-zero pencil is ill-conditioned: {len(zeros)} finite zeros")
+    # LAPACK scales the two members of a conjugate pair apart in the last bit of
+    # the real part; rebuilding each pair from its upper member gives it one real
+    # part, so sorting by (real, imag) lists the pair's lower member first
+    upper = [z for z in zeros if z.imag > 0.0]
+    zeros = [z for z in zeros if z.imag == 0.0] + upper + [z.conjugate() for z in upper]
+    zeros.sort(key=lambda z: (z.real, z.imag))
     return LinearModel(a_mat=a_mat, b_vec=b_vec, c_vec=c_vec, zeros=zeros)
 
 

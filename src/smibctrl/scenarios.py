@@ -241,6 +241,13 @@ def instants(cfg: ScenarioConfig):
                                           f" s: |delta| = {abs(x[0]):.4g} rad")
 
 
+def _filled(table: np.ndarray, rows) -> Trace:
+    """The Trace whose columns are table's rows, filled from rows in TRACE_COLUMNS order."""
+    for k, row in enumerate(rows):
+        table[:, k] = row
+    return Trace(*table)
+
+
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Simulate one scripted closed-loop experiment."""
     try:
@@ -248,9 +255,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     except (MemoryError, ValueError) as exc:
         raise ScenarioError(f"a trace of {cfg.n_steps:.4g} instants ({cfg.t_end:g} s)"
                             " does not fit in memory") from exc
-    for k, row in enumerate(instants(cfg)):
-        table[:, k] = row
-    return Trace(*table)
+    return _filled(table, instants(cfg))
 
 
 def run_oracle_loop(placement: PolePlacement, f_fun, g_fun, r_series,
@@ -260,23 +265,20 @@ def run_oracle_loop(placement: PolePlacement, f_fun, g_fun, r_series,
     The controller uses the same f and g, so the output must satisfy the
     target difference equation y(k+1) = k1 r(k) - sum C_i y(k-i).
     """
-    r_series = np.asarray(r_series, dtype=float)
-    n = len(r_series)
-    ctrl = ControllerState.at_equilibrium(ExactPlantModel(f_fun, g_fun), y0,
-                                          placement=placement, nu=0.0, d0=0.0,
-                                          g_min=g_min, adapt=False)
-    y = float(y0)
-    cols = {name: np.zeros(n) for name in TRACE_COLUMNS}
-    for k in range(n):
-        u, ctrl = control_step(ctrl, float(r_series[k]), y, 0.0)
-        z = ctrl.last_regressor
-        y_next = float(f_fun(z)) + float(g_fun(z)) * u
-        cols["t"][k] = k
-        cols["v_ref"][k] = r_series[k]
-        cols["v_t"][k] = y
-        cols["v_f"][k] = u
-        y = y_next
-    return Trace(**cols)
+    r_series = np.asarray(r_series, dtype=float).tolist()
+
+    def rows():
+        ctrl = ControllerState.at_equilibrium(ExactPlantModel(f_fun, g_fun), y0,
+                                              placement=placement, nu=0.0, d0=0.0,
+                                              g_min=g_min, adapt=False)
+        y = float(y0)
+        for k, r in enumerate(r_series):
+            u, ctrl = control_step(ctrl, r, y, 0.0)
+            z = ctrl.last_regressor
+            yield k, r, y, u, 0.0, 0.0, 0.0, 0.0
+            y = float(f_fun(z)) + float(g_fun(z)) * u
+
+    return _filled(np.empty((len(TRACE_COLUMNS), len(r_series))), rows())
 
 
 class UndefinedMetricError(RuntimeError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import linalg
 
 from smibctrl import machine
 from smibctrl.configio import ConfigError
@@ -50,19 +49,50 @@ def test_dq_currents_vs_cramer_oracle(ref_params, nominal_eq):
     assert np.max(np.abs(i - expected)) <= 1e-12
 
 
+def inverse_solve(L_inv, lam):
+    """i = L^-1 lam as the array product summed along each row: the oracle of the
+    float kernel, which skips the exactly-zero cross-block entries."""
+    return (L_inv * lam).sum(axis=1)
+
+
+D_AXIS, Q_AXIS = [0, 2, 3], [1, 4]  # windings d, f, kd and q, kq
+INDUCTANCES = ("L_d", "L_q", "L_ad", "L_aq", "L_f", "L_fkd", "L_kd", "L_kq")
+
+
 def test_dq_currents_roundtrip_identity(ref_params):
-    L = inductance_matrix(ref_params)
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        i = rng.uniform(-3, 3, size=5)
-        assert np.max(np.abs(dq_currents(L @ i, ref_params) - i)) <= 1e-12
+    for case in ORACLE_MACHINES.values():
+        params = dataclasses.replace(ref_params, **case)
+        L = inductance_matrix(params)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            i = rng.uniform(-3, 3, size=5)
+            assert np.max(np.abs(dq_currents(L @ i, params) - i)) <= 1e-12
 
 
-def test_dq_currents_bitwise_equal_to_scipy_lu_solve(ref_params):
-    lu = linalg.lu_factor(inductance_matrix(ref_params))
-    rng = np.random.default_rng(17)
-    for lam in rng.uniform(-3, 3, size=(2000, 5)):
-        assert np.array_equal(dq_currents(lam, ref_params), linalg.lu_solve(lu, lam))
+def test_inverse_inductance_keeps_the_dq_block_pattern(ref_params):
+    machines = [dataclasses.replace(ref_params, **case) for case in ORACLE_MACHINES.values()]
+    machines += [params for params, _ in perturbed_operating_points(ref_params, 40, seed=7)]
+    machines += [diagonal_params()]
+    rng = np.random.default_rng(13)
+    for inductances in rng.uniform(0.05, 2.0, size=(500, 8)):  # L_d, L_q, ..., L_kq at random
+        try:
+            machines.append(MachineParams(**dict(zip(INDUCTANCES, inductances))))
+        except machine.SingularInductanceError:
+            pass
+    assert len(machines) > 400
+    for params in machines:
+        L_inv = np.linalg.inv(inductance_matrix(params))
+        assert np.all(L_inv[np.ix_(D_AXIS, Q_AXIS)] == 0.0)
+        assert np.all(L_inv[np.ix_(Q_AXIS, D_AXIS)] == 0.0)
+
+
+def test_dq_currents_bitwise_equal_to_inverse_oracle(ref_params):
+    for case in ORACLE_MACHINES.values():
+        params = dataclasses.replace(ref_params, **case)
+        L_inv = np.linalg.inv(inductance_matrix(params))
+        rng = np.random.default_rng(17)
+        for lam in rng.uniform(-3, 3, size=(2000, 5)):
+            assert np.array_equal(dq_currents(lam, params), inverse_solve(L_inv, lam))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -78,12 +108,12 @@ def test_non_finite_flux_is_divergence(ref_params, nominal_eq, bad):
         derivatives(x, u_eq, ref_params)
 
 
-def reference_kernel(params, lu, x, u):
-    """The NumPy array arithmetic the float kernel replaced, solving with lu_solve:
-    rates, currents and stator voltages at one state."""
+def reference_kernel(params, L_inv, x, u):
+    """The NumPy array arithmetic the float kernel replaced, with the currents of
+    inverse_solve: rates, currents and stator voltages at one state."""
     p = params
     lam = x[2:]
-    i = linalg.lu_solve(lu, lam)
+    i = inverse_solve(L_inv, lam)
     sin_d, cos_d = math.sin(x[0]), math.cos(x[0])
     w_d = p.v_inf * (p.A * sin_d + p.B * cos_d)
     w_q = -p.v_inf * (p.B * sin_d - p.A * cos_d)
@@ -100,9 +130,9 @@ def reference_kernel(params, lu, x, u):
     return np.concatenate(([x[1], domega], dlam)), i, v_d, v_q
 
 
-def reference_rk4_step(params, lu, x, u, dt):
+def reference_rk4_step(params, L_inv, x, u, dt):
     def f(z):
-        return reference_kernel(params, lu, z, u)[0]
+        return reference_kernel(params, L_inv, z, u)[0]
 
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
@@ -123,15 +153,16 @@ ORACLE_MACHINES = {
 @pytest.mark.parametrize("machine_case", sorted(ORACLE_MACHINES))
 def test_float_kernel_bitwise_equal_to_array_oracle(ref_params, nominal_eq, machine_case):
     params = dataclasses.replace(ref_params, **ORACLE_MACHINES[machine_case])
-    lu = linalg.lu_factor(inductance_matrix(params))
+    L_inv = np.linalg.inv(inductance_matrix(params))
     state, u_eq = nominal_eq
     rng = np.random.default_rng(23)
     for _ in range(1000):
         x = state + rng.normal(scale=[0.3, 5.0, 0.05, 0.05, 0.05, 0.05, 0.05])
         u = u_eq + rng.normal(scale=0.3)
         dt = rng.uniform(1e-5, 2e-3)
-        rates, i, v_d, v_q = reference_kernel(params, lu, x, u)
-        assert np.array_equal(rk4_step(x, u, dt, params), reference_rk4_step(params, lu, x, u, dt))
+        rates, i, v_d, v_q = reference_kernel(params, L_inv, x, u)
+        assert np.array_equal(rk4_step(x, u, dt, params),
+                              reference_rk4_step(params, L_inv, x, u, dt))
         assert np.array_equal(derivatives(x, u, params), rates)
         i_new, v_d_new, v_q_new = dq_voltages(x, params)
         assert np.array_equal(i_new, i) and (v_d_new, v_q_new) == (v_d, v_q)
@@ -176,19 +207,19 @@ def test_advance_rejects_a_period_without_positive_steps(ref_params, nominal_eq,
 
 
 def test_kernel_constants_belong_to_their_plant(ref_params, nominal_eq):
-    # H, P_m, D and x11 leave L unchanged, so one set of LU factors serves the oracle
-    lu = linalg.lu_factor(inductance_matrix(ref_params))
+    # H, P_m, D and x11 leave L unchanged, so one L^-1 serves the oracle
+    L_inv = np.linalg.inv(inductance_matrix(ref_params))
     state, u_eq = nominal_eq
     x = state + np.array([0.1, 2.0, 0.01, -0.01, 0.02, 0.0, -0.02])
     scaled = dataclasses.replace(ref_params, H=0.5 * ref_params.H, P_m=0.9)
     for params in [ref_params, scaled] * 3:  # as scale_H and set_Pm events alternate plants
         assert np.array_equal(rk4_step(x, u_eq, 5e-4, params),
-                              reference_rk4_step(params, lu, x, u_eq, 5e-4))
+                              reference_rk4_step(params, L_inv, x, u_eq, 5e-4))
     many = [dataclasses.replace(ref_params, H=1.0 + 0.1 * j, P_m=0.5 + 0.01 * j,
                                 D=0.001 * j, x11=0.1 + 0.001 * j) for j in range(200)]
     for params in many + many[:10]:  # more plants than the compilation cache holds
         assert np.array_equal(rk4_step(x, u_eq, 5e-4, params),
-                              reference_rk4_step(params, lu, x, u_eq, 5e-4))
+                              reference_rk4_step(params, L_inv, x, u_eq, 5e-4))
 
 
 def test_equal_params_hash_equal_and_share_one_plant(ref_params, nominal_eq):
@@ -373,6 +404,16 @@ def test_linearize_accepts_any_state_sequence(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     zeros = [linearize(ref_params, x, u_eq).zeros for x in (tuple(state), list(state), state)]
     assert zeros[0] == zeros[1] == zeros[2]
+
+
+def test_zeros_list_each_conjugate_pair_negative_imaginary_part_first(ref_params):
+    for v_target in (1.0, 1.1392, 1.5, 2.0):
+        zeros = linearize(ref_params, *find_equilibrium(ref_params, v_target)).zeros
+        assert zeros == sorted(zeros, key=lambda z: z.real)
+        pairs = [z for z in zeros if z.imag != 0.0]
+        assert len(pairs) == 4
+        for first, second in zip(pairs[::2], pairs[1::2]):
+            assert first == second.conjugate() and first.imag < 0.0
 
 
 def test_relative_degree_one(ref_params, nominal_eq):

@@ -166,21 +166,31 @@ def test_package_import_skips_scipy_signal():
     assert _probe(probe) == ["[]"]
 
 
-def test_scipy_loads_when_a_plant_is_compiled():
-    probe = ("import sys, smibctrl.machine as m; print('scipy.linalg' in sys.modules); "
-             "m.MachineParams(); print('scipy.linalg' in sys.modules)")
-    assert _probe(probe) == ["False", "True"]
+def test_scipy_loads_only_for_linearize():
+    probe = ("import sys, smibctrl.machine as m; p = m.MachineParams(); "
+             "x, u = m.find_equilibrium(p, 1.1392); m.advance(x, u, 2e-3, p); "
+             f"print({SCIPY_LOADED}); m.linearize(p, x, u); print('scipy.linalg' in sys.modules)")
+    assert _probe(probe) == ["[]", "True"]
 
 
-@pytest.mark.parametrize("command", ["train", "validate", "compare"])
+@pytest.mark.parametrize("command", ["train", "validate", "compare", "identify", "simulate"])
 def test_offline_commands_run_without_scipy(tmp_path, command):
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"dataset = {config_path('dataset_ref.csv')}\n"
-                   f"dataset = {config_path('dataset_dither.csv')}\nmax_iter = 2\n")
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text({
+        "train": f"dataset = {config_path('dataset_ref.csv')}\n"
+                 f"dataset = {config_path('dataset_dither.csv')}\nmax_iter = 2\n",
+        "identify": f"machine = {config_path('machine_ref.cfg')}\nn_samples = 14\n",
+        "simulate": f"machine = {config_path('machine_ref.cfg')}\n"
+                    f"controller = {config_path('ctrl_st1a.cfg')}\n"
+                    "t_end = 0.02\nevent = 0.01 set_vref 1.2\n",
+    }.get(command, ""))
     argv = {"train": ["train", "--config", str(cfg), "--out", str(tmp_path / "w.nwt")],
             "validate": ["validate", "--config", config_path("validate_ref.cfg")],
             "compare": ["compare", os.path.join(REPO, "results", "pss_step_nu0.csv"),
-                        os.path.join(REPO, "results", "pss_step_nu3.csv")]}[command]
+                        os.path.join(REPO, "results", "pss_step_nu3.csv")],
+            "identify": ["identify", "--config", str(cfg), "--out", str(tmp_path / "d.csv")],
+            "simulate": ["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "trace.csv")]}[command]
     probe = ("import sys; from smibctrl.cli import cli_dispatch; "
              f"code = cli_dispatch(sys.argv[1:]); print(code, {SCIPY_LOADED})")
     assert _probe(probe, *argv)[-1] == "0 []"
@@ -345,7 +355,7 @@ def test_slipped_pole_raises_synchronism_lost(tmp_path):
     scen = tmp_path / "s.cfg"
     scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
                     "t_end = 0.2\n")
-    with pytest.raises(SynchronismLost, match="loss of synchronism at t = 0.1120 s"):
+    with pytest.raises(SynchronismLost, match="loss of synchronism at t = 0.1200 s"):
         run_scenario(parse_scenario(scen))
 
 
