@@ -102,21 +102,21 @@ def inductance_matrix(params: MachineParams) -> np.ndarray:
 
 
 class _Plant(NamedTuple):
-    """One `MachineParams` compiled for integration: the steady-flux matrix K,
-    and the float kernels of `_kernels` on the entries of L^-1."""
+    """One `MachineParams` compiled into the float kernels of `_kernels`."""
 
-    k_mat: np.ndarray                # K of `_steady_state`
-    bus: Callable                    # delta -> (w_d, w_q)
     currents: Callable               # lam -> i solving L i = lam
     voltages: Callable               # x -> (currents, v_d, v_q)
     rates: Callable                  # (x, u) -> dx/dt
     step: Callable                   # (x, u, dt) -> x one RK4 step later
+    steady: Callable | None          # (delta, v_target, branch) -> (P_e, x, u) | None
 
 
 @lru_cache(maxsize=128)
 def _assembled(params: MachineParams) -> _Plant:
-    """Cached compilation of params; K = (R + M) L^-1 + Z is the matrix of
-    `_steady_state`.  A non-finite K surfaces there as a named failure."""
+    """Cached compilation of params, from L^-1 and the first three columns of
+    K^-1.  K = (R + M) L^-1 + Z is the steady-flux matrix: at rest the fluxes
+    solve K lam = -(w(delta) + e3 u).  A singular or non-finite K leaves the
+    dynamics intact and the plant without a `steady` kernel."""
     L = inductance_matrix(params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = float(np.linalg.det(L))
@@ -128,9 +128,14 @@ def _assembled(params: MachineParams) -> _Plant:
         RM[0, 0:2] += [params.r11, -params.x11]
         RM[1, 0:2] += [params.x11, params.r11]
         K = RM @ L_inv
-    K[0, 1] += 1.0
-    K[1, 0] -= 1.0
-    return _Plant(K, *_kernels(params, L_inv.tolist(), r_diag.tolist()))
+        K[0, 1] += 1.0
+        K[1, 0] -= 1.0
+        try:
+            K_inv = np.linalg.inv(K)[:, :3]
+        except np.linalg.LinAlgError:  # exactly singular, as with r_f = 0
+            K_inv = np.full((5, 3), np.nan)
+    K_inv = K_inv.tolist() if np.all(np.isfinite(K_inv)) else None
+    return _Plant(*_kernels(params, L_inv.tolist(), r_diag.tolist(), K_inv))
 
 
 # The kernels below work on Python floats: NumPy's per-call cost on 5- and
@@ -139,21 +144,24 @@ def _assembled(params: MachineParams) -> _Plant:
 # the d-axis windings (d, f, kd) and the q-axis windings (q, kq) only among
 # themselves, and so does L^-1: its cross-block entries are exactly zero, so
 # i = L^-1 lam is 13 products, each current summed over its block's columns
-# in ascending order, bitwise equal to (L^-1 * lam).sum(axis=1).  Every other
-# float operation keeps the order of the array arithmetic it replaced.  A
-# float overflow yields inf, never an exception (there is no `**`), and the
-# non-finite value fails a named check at the next stage.
+# in ascending order, bitwise equal to (L^-1 * lam).sum(axis=1).  The rates
+# and the RK4 step keep the operation order of the array formulas they are
+# tested against bitwise; `steady` has its own order and matches a LAPACK
+# solve of K lam = -w to rounding.  A float overflow yields inf, never an
+# exception (there is no `**`), and the non-finite value fails a named check
+# at the next stage.
 
-def _kernels(p: MachineParams, L_inv, r_diag):
-    """bus(delta), currents(lam), voltages(x), rates(x, u) and step(x, u, dt) of one plant;
-    L_inv is L^-1 as nested lists."""
+def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
+    """currents(lam), voltages(x), rates(x, u), step(x, u, dt) and steady(delta, v_target,
+    branch) of one plant; L_inv is L^-1 and K_inv the first three columns of K^-1 (or
+    None) as nested lists."""
     w_b, w_2h = float(p.omega_b), p.omega_b / (2.0 * p.H)
     P_m, D, r11, x11 = float(p.P_m), float(p.D), float(p.r11), float(p.x11)
     v_inf, A, B, coupled = p.v_inf, p.A, p.B, p.speed_coupled_z
     r0, r1, r2, r3, r4 = r_diag
     ((m00, _, m02, m03, _), (_, m11, _, _, m14), (m20, _, m22, m23, _),
      (m30, _, m32, m33, _), (_, m41, _, _, m44)) = L_inv
-    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+    sin, cos, sqrt, isfinite = math.sin, math.cos, math.sqrt, math.isfinite
 
     def bus(delta):
         """dq components of the infinite-bus voltage seen at power angle delta."""
@@ -215,7 +223,36 @@ def _kernels(p: MachineParams, L_inv, r_diag):
             raise DivergenceError("rk4_step produced a non-finite state")
         return x_new
 
-    return bus, currents, voltages, rates, step
+    if K_inv is None:
+        return currents, voltages, rates, step, None
+
+    # With delta and u held the steady fluxes are lam0(delta) + u lam_u, so the
+    # currents and (v_d, v_q) are affine in u too and v_t^2 = a u^2 + b u + c.
+    k_w = [(k_d, k_q) for k_d, k_q, _ in K_inv]
+    lam_u = [-k_u for _, _, k_u in K_inv]
+    iu0, iu1, _, _, _ = currents(lam_u)
+    vu_d, vu_q = r11 * iu0 - x11 * iu1, r11 * iu1 + x11 * iu0
+    a = vu_d * vu_d + vu_q * vu_q
+
+    def steady(delta, v_target, branch):
+        """Electrical power, state at rest and field voltage of the steady point at
+        v_t = v_target: branch=1 takes the rightmost (overexcited) root, branch=0 the
+        leftmost.  None when v_target is out of reach at this angle."""
+        w_d, w_q = bus(delta)
+        lam0 = [-(k_d * w_d + k_q * w_q) for k_d, k_q in k_w]
+        i0, i1, _, _, _ = currents(lam0)
+        v_d, v_q = r11 * i0 - x11 * i1 + w_d, r11 * i1 + x11 * i0 + w_q
+        b = 2.0 * (v_d * vu_d + v_q * vu_q)
+        c = v_d * v_d + v_q * v_q - v_target * v_target
+        disc = b * b - 4.0 * a * c
+        if not (a > 0.0 and disc >= 0.0 and isfinite(disc)):  # also an overflowed a, b or c
+            return None
+        u = (-b + (sqrt(disc) if branch else -sqrt(disc))) / (2.0 * a)
+        lam = [l0 + u * l_u for l0, l_u in zip(lam0, lam_u)]
+        i0, i1, _, _, _ = currents(lam)
+        return lam[0] * i1 - lam[1] * i0, (delta, 0.0, *lam), u
+
+    return currents, voltages, rates, step, steady
 
 
 def _floats(x) -> tuple:
@@ -263,79 +300,40 @@ def advance(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
     return x
 
 
-def _steady_state(params: MachineParams, delta: float, u: float) -> np.ndarray:
-    """State at rest (omega = 0) with steady fluxes for fixed angle and field voltage.
-
-    With delta and u frozen the flux dynamics are linear, so the steady
-    fluxes solve [(R + M) L^-1 + Z] lam = -(v_inf w(delta) + e3 u).
-    """
-    plant = _assembled(params)
-    w = np.array([*plant.bus(delta), u, 0.0, 0.0])
-    return np.concatenate(([delta, 0.0], np.linalg.solve(plant.k_mat, -w)))
-
-
-def _excitation_for(params: MachineParams, delta: float, v_target: float, branch: int):
-    """Field voltage putting the steady flux point at v_t = v_target.
-
-    The steady fluxes are affine in u, so v_t(u)^2 is a convex quadratic.
-    branch=1 selects the rightmost (overexcited) root, branch=0 the
-    leftmost.  Returns None when v_target is unreachable at this angle.
-    """
-    x0 = _steady_state(params, delta, 0.0)
-    w0 = np.array(dq_voltages(x0, params)[1:])
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a, b or c fails below
-        x_u = _steady_state(params, delta, 1.0) - x0
-        wu = np.array(dq_voltages(x0 + x_u, params)[1:]) - w0
-        a = float(wu @ wu)
-        b = 2.0 * float(w0 @ wu)
-        c = float(w0 @ w0) - v_target**2
-    disc = b * b - 4.0 * a * c
-    if a <= 0.0 or disc < 0.0:
-        return None
-    sign = 1.0 if branch else -1.0
-    return (-b + sign * math.sqrt(disc)) / (2.0 * a)
-
-
 def _coarse_equilibrium(params: MachineParams, v_target: float):
     """Operating point (x, u_eq) on a stable (rising power) branch, in closed form.
 
     Scans the power angle on both excitation branches, and bisects the
     first rising crossing of the electrical power through P_m, preferring
-    the overexcited branch.  At each angle the field voltage is the root of
-    `_excitation_for` and the fluxes are `_steady_state`, so the bisected
-    point is the equilibrium itself.
+    the overexcited branch.  At each angle the plant's `steady` kernel gives
+    the field voltage and the steady fluxes, so the bisected point is the
+    equilibrium itself.
     """
-
-    def power_at(delta, branch):
-        u = _excitation_for(params, delta, v_target, branch)
-        if u is None:
-            return None, None, None
-        x = _steady_state(params, delta, u)
-        i = dq_currents(x[2:], params)
-        return x[2] * i[1] - x[3] * i[0], x, u
-
-    grid = np.linspace(0.02, 2.60, 130)
+    steady = _assembled(params).steady
+    if steady is None:
+        raise EquilibriumError("the steady-flux matrix K = (R + M) L^-1 + Z is singular "
+                               "or not finite: no operating point")
+    P_m = params.P_m
     for branch in (1, 0):
         prev = None
-        for delta in grid:
-            pe, _, _ = power_at(delta, branch)
-            if pe is None:
+        for delta in np.linspace(0.02, 2.60, 130).tolist():
+            point = steady(delta, v_target, branch)
+            if point is None:
                 prev = None
                 continue
-            if prev is not None:
-                d0, p0 = prev
-                if (p0 - params.P_m) < 0.0 <= (pe - params.P_m):
-                    lo, hi = d0, delta
-                    for _ in range(80):
-                        mid = 0.5 * (lo + hi)
-                        pm, _, _ = power_at(mid, branch)
-                        if pm is None or pm < params.P_m:
-                            lo = mid
-                        else:
-                            hi = mid
-                    _, x, u = power_at(0.5 * (lo + hi), branch)
-                    if x is not None:
-                        return x, u
+            pe = point[0]
+            if prev is not None and (prev[1] - P_m) < 0.0 <= (pe - P_m):
+                lo, hi = prev[0], delta
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    point = steady(mid, v_target, branch)
+                    if point is None or point[0] < P_m:
+                        lo = mid
+                    else:
+                        hi = mid
+                point = steady(0.5 * (lo + hi), v_target, branch)
+                if point is not None:
+                    return np.array(point[1]), point[2]
             prev = (delta, pe)
     raise EquilibriumError(f"no stable-branch equilibrium found for v_t = {v_target}")
 

@@ -77,9 +77,9 @@ def test_train_determinism(tmp_path):
 
 def test_train_ref_retrains_the_committed_weights(tmp_path):
     # the benchmark's train gate: the shipped training config lands within 1e-7 of
-    # narx_ref.nwt (3.3e-8 with one BLAS thread, not bit for bit: the file was
-    # trained on datasets recorded with an LU current solve and with J'e summed in
-    # another order) and meets acceptance criterion 5 on the holdout halves
+    # narx_ref.nwt (2.2e-8 with one BLAS thread, not bit for bit: the file was
+    # trained on datasets recorded with LU solves and with J'e summed in another
+    # order) and meets acceptance criterion 5 on the holdout halves
     out = tmp_path / "narx.nwt"
     assert cli_dispatch(["train", "--config", config_path("train_ref.cfg"),
                          "--out", str(out)]) == 0
@@ -177,10 +177,10 @@ def test_config_error_exits_2(tmp_path, capsys):
                          "--out", str(tmp_path / "t.csv")]) == 2
 
 
-def _simulate(tmp_path, scenario_lines, controller=config_path("ctrl_none.cfg")):
+def _simulate(tmp_path, scenario_lines, controller=config_path("ctrl_none.cfg"),
+              machine_cfg=config_path("machine_ref.cfg")):
     scen = tmp_path / "s.cfg"
-    scen.write_text(f"machine = {config_path('machine_ref.cfg')}\n"
-                    f"controller = {controller}\n{scenario_lines}")
+    scen.write_text(f"machine = {machine_cfg}\ncontroller = {controller}\n{scenario_lines}")
     return ["simulate", "--config", str(scen), "--out", str(tmp_path / "t.csv")]
 
 
@@ -191,8 +191,14 @@ def _controller(tmp_path, neural_lines):
     return ctrl
 
 
+def _machine(tmp_path, machine_lines):
+    machine_cfg = tmp_path / "m.cfg"
+    machine_cfg.write_text(machine_lines)
+    return machine_cfg
+
+
 def _minphase(tmp_path, machine_lines):
-    (tmp_path / "m.cfg").write_text(machine_lines)
+    _machine(tmp_path, machine_lines)
     cfg = tmp_path / "mp.cfg"
     cfg.write_text("machine = m.cfg\nv_target = 1.1392\n")
     return ["minphase", "--config", str(cfg)]
@@ -211,6 +217,11 @@ NUMERICAL_FAILURES = {
         tmp, "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\ng_min = auto\nadapt = true\n")),
     "machine x11 1e308": lambda tmp: _minphase(tmp, "x11 = 1e308\n"),
     "machine D 1e308": lambda tmp: _minphase(tmp, "D = 1e308\n"),
+    # r_f = 0 leaves L regular but the steady-flux matrix singular
+    "simulate r_f 0": lambda tmp: _simulate(tmp, "t_end = 0.1\n",
+                                            machine_cfg=_machine(tmp, "r_f = 0\n")),
+    "identify r_f 0": lambda tmp: _identify_with(tmp, "n_samples = 100\n",
+                                                 machine_cfg=_machine(tmp, "r_f = 0\n")),
 }
 
 
@@ -218,6 +229,14 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     for case, argv in NUMERICAL_FAILURES.items():
         assert cli_dispatch(argv(tmp_path)) == 3, case
         assert "numerical failure" in capsys.readouterr().err, case
+
+
+@pytest.mark.parametrize("case", ["simulate r_f 0", "identify r_f 0"])
+def test_singular_steady_flux_matrix_is_named(tmp_path, capsys, case):
+    assert cli_dispatch(NUMERICAL_FAILURES[case](tmp_path)) == 3
+    assert capsys.readouterr().err == ("numerical failure: the steady-flux matrix "
+                                       "K = (R + M) L^-1 + Z is singular or not finite: "
+                                       "no operating point\n")
 
 
 @pytest.mark.parametrize("machine_line",
@@ -273,9 +292,9 @@ def _compare_trace(tmp_path, body):
     return ["compare", str(trace), str(trace)]
 
 
-def _identify_with(tmp_path, extra):
+def _identify_with(tmp_path, extra, machine_cfg=config_path("machine_ref.cfg")):
     cfg = tmp_path / "i.cfg"
-    cfg.write_text(f"machine = {config_path('machine_ref.cfg')}\n{extra}")
+    cfg.write_text(f"machine = {machine_cfg}\n{extra}")
     return ["identify", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
 
 

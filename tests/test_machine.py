@@ -384,6 +384,95 @@ def test_find_equilibrium_reports_failure(ref_params):
             find_equilibrium(ref_params, v_target)
 
 
+def reference_steady(params, delta, v_target, branch):
+    """Steady fluxes and field voltage at v_target by LAPACK solves of
+    K lam = -(w(delta) + e3 u), K = (R + M) L^-1 + Z assembled here; None where
+    the quadratic v_t(u)^2 = v_target^2 has no real root."""
+    p = params
+    L_inv = np.linalg.inv(inductance_matrix(p))
+    RM = np.diag([p.r_s, p.r_s, -p.r_f, -p.r_kd, -p.r_kq])
+    RM[0, :2] += [p.r11, -p.x11]
+    RM[1, :2] += [p.x11, p.r11]
+    K = RM @ L_inv
+    K[0, 1] += 1.0
+    K[1, 0] -= 1.0
+    w_d = p.v_inf * (p.A * math.sin(delta) + p.B * math.cos(delta))
+    w_q = -p.v_inf * (p.B * math.sin(delta) - p.A * math.cos(delta))
+
+    def flux(u):
+        return np.linalg.solve(K, -np.array([w_d, w_q, u, 0.0, 0.0]))
+
+    def stator(lam):
+        _, _, v_d, v_q = reference_kernel(p, L_inv, np.r_[delta, 0.0, lam], 0.0)
+        return np.array([v_d, v_q])
+
+    v0 = stator(flux(0.0))
+    vu = stator(flux(1.0)) - v0
+    a, b, c = vu @ vu, 2.0 * (v0 @ vu), v0 @ v0 - v_target**2
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    u = (-b + (1.0 if branch else -1.0) * math.sqrt(disc)) / (2.0 * a)
+    return flux(u), u
+
+
+def test_steady_kernel_vs_solve_oracle(ref_params):
+    cases = [(dataclasses.replace(ref_params, **case), v_target)
+             for case in ORACLE_MACHINES.values() for v_target in (0.3, 1.0, 1.1392, 2.0)]
+    cases += perturbed_operating_points(ref_params, 40, seed=7)
+    found = missing = 0
+    for params, v_target in cases:
+        steady = machine._assembled(params).steady
+        for delta in np.linspace(0.02, 2.6, 27).tolist():
+            for branch in (1, 0):
+                point, expected = steady(delta, v_target, branch), reference_steady(
+                    params, delta, v_target, branch)
+                assert (point is None) == (expected is None), (params, delta, v_target, branch)
+                if point is None:
+                    missing += 1
+                    continue
+                found += 1
+                P_e, x, u = point
+                x = np.array(x)
+                lam_ref, u_ref = expected
+                scale = max(1.0, np.max(np.abs(x[2:])), abs(u))
+                assert x[0] == delta and x[1] == 0.0
+                assert np.max(np.abs(derivatives(x, u, params)[2:])) <= 1e-12 * params.omega_b * scale
+                assert abs(terminal_voltage(x, params) - v_target) <= 1e-12 * v_target
+                i = dq_currents(x[2:], params)
+                assert P_e == x[2] * i[1] - x[3] * i[0]
+                assert np.max(np.abs(x[2:] - lam_ref)) <= 1e-12 * scale
+                assert abs(u - u_ref) <= 1e-12 * scale
+    assert found > 2000 and missing > 100
+
+
+def test_scan_moves_on_when_a_bisected_crossing_has_no_point(ref_params, monkeypatch):
+    # P_e = delta on both branches, but the overexcited branch has no point when
+    # asked twice running at one angle, as happens once its bisection has
+    # collapsed to one float: the scan must go on to the underexcited branch
+    last = []
+
+    def steady(delta, v_target, branch):
+        repeated = last == [delta]
+        last[:] = [delta]
+        if branch == 1 and repeated:
+            return None
+        return delta, (delta, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), float(branch)
+
+    monkeypatch.setattr(machine, "_assembled", lambda params: machine._Plant(
+        None, None, None, None, steady))
+    x, u = machine._coarse_equilibrium(ref_params, 1.0)
+    assert u == 0.0 and abs(x[0] - ref_params.P_m) <= 1e-12
+
+
+def test_singular_steady_flux_matrix_still_integrates(ref_params, nominal_eq):
+    params = dataclasses.replace(ref_params, r_f=0.0)  # L is regular, K has a zero row
+    state, u_eq = nominal_eq
+    assert np.all(np.isfinite(machine.advance(state, u_eq, 0.002, params)))
+    with pytest.raises(machine.EquilibriumError, match="steady-flux matrix .* is singular"):
+        find_equilibrium(params, 1.1392)
+
+
 def test_linearize_angle_row(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     model = linearize(ref_params, state, u_eq)

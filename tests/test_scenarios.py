@@ -355,7 +355,7 @@ def test_slipped_pole_raises_synchronism_lost(tmp_path):
     scen = tmp_path / "s.cfg"
     scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
                     "t_end = 0.2\n")
-    with pytest.raises(SynchronismLost, match="loss of synchronism at t = 0.1200 s"):
+    with pytest.raises(SynchronismLost, match="loss of synchronism at t = 0.1160 s"):
         run_scenario(parse_scenario(scen))
 
 
