@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped identification datasets and check the committed weights.
+"""Regenerate every committed artifact except the weights, and print the studies.
 
-Records both excitation datasets into configs/.  All seeds are pinned in the
-config files, so the two datasets are reproduced bit for bit.  Then trains
-the two-network model into a temporary directory, validates the retrained
-weights on the held-out halves, and prints their largest weight difference
-from configs/narx_ref.nwt against the 1e-7 weight gate; the script exits 1
-above it.  The committed weights and cost history are never overwritten: the
-retrained weights land about 2e-8 from them (2.2e-8 with one BLAS thread),
-because the committed file was trained on datasets recorded with LU solves,
-which differ from today's by up to 2.1e-10, and with J'e summed in another
-order.  That is inside the weight gate, but the retrained weights would move
-the closed-loop traces by up to 1.8e-8, over their 1e-10 gate, so commit the
-regenerated datasets only.
+All seeds are pinned in the config files, so one run reproduces bit for bit:
+the two identification datasets in configs/, the eight shipped scenario
+traces in results/ and the neural-against-exciter trace difference
+results/step_nominal_diff.csv.  It prints the tracking errors one second
+after the reference steps, the damping metric with and without the
+stabilizer, the recovery errors after the inertia drift and the mechanical
+power drop, and the big-swing errors.
+
+Then it trains the two-network model into a temporary directory, validates
+the retrained weights on the held-out halves, and prints their largest weight
+difference from configs/narx_ref.nwt against the 1e-7 weight gate; the
+script exits 1 above it.  The committed weights and cost history are never
+overwritten: the retrained weights land about 2e-8 from them (2.2e-8 with one
+BLAS thread), because the committed file was trained on datasets recorded
+with LU solves, which differ from today's by up to 2.1e-10, and with J'e
+summed in another order.  That is inside the weight gate, but the retrained
+weights would move the closed-loop traces by up to 1.8e-8, over their 1e-10
+gate, so commit the regenerated datasets and traces only.
 """
 
 import os
@@ -25,13 +31,28 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from smibctrl.cli import cli_dispatch
 from smibctrl.networks import load_weights, theta_flatten
+from smibctrl.scenarios import Trace, damping_metric
 
-CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULTS = os.path.join(ROOT, "results")
 WEIGHT_GATE = 1e-7
 
+# every shipped scenario and its trace in results/
+SCENARIOS = {
+    "scen_step_nominal_neural.cfg": "step_nominal_neural.csv",
+    "scen_step_nominal_st1a.cfg": "step_nominal_st1a.csv",
+    "scen_step_far_neural.cfg": "step_far_neural.csv",
+    "scen_pss_step.cfg": "pss_step_nu3.csv",
+    "scen_pss_step_nu0.cfg": "pss_step_nu0.csv",
+    "scen_h_drift.cfg": "h_drift.csv",
+    "scen_pm_drop.cfg": "pm_drop.csv",
+    "scen_big_swing.cfg": "big_swing.csv",
+}
+DIFF = "step_nominal_diff.csv"
 
-def run(argv):
-    code = cli_dispatch(argv)
+
+def run(*argv):
+    code = cli_dispatch(list(argv))
     if code != 0:
         raise SystemExit(code)
 
@@ -52,15 +73,43 @@ def validate_config(path, weights):
 
 
 def main():
-    os.chdir(CONFIGS)
-    run(["identify", "--config", "identify_ref.cfg", "--out", "dataset_ref.csv"])
-    run(["identify", "--config", "identify_dither.cfg", "--out", "dataset_dither.csv"])
+    os.chdir(os.path.join(ROOT, "configs"))
+    run("identify", "--config", "identify_ref.cfg", "--out", "dataset_ref.csv")
+    run("identify", "--config", "identify_dither.cfg", "--out", "dataset_dither.csv")
+    os.makedirs(RESULTS, exist_ok=True)
+    traces = {}
+    for scenario, csv in SCENARIOS.items():
+        run("simulate", "--config", scenario, "--out", os.path.join(RESULTS, csv))
+        traces[scenario] = Trace.from_csv(os.path.join(RESULTS, csv))
+
+    for scenario in list(SCENARIOS)[:3]:  # the three 0.1 pu reference steps at t = 1 s
+        trace = traces[scenario]
+        k = trace.at_time(2.0)
+        err = 100.0 * abs(trace.v_t[k] - trace.v_ref[k]) / trace.v_ref[k]
+        print(f"{scenario}: tracking error {err:.4f} % at t = 2.0 s")
+    with_pss, without = (damping_metric(traces[scenario], 2.0)
+                         for scenario in ("scen_pss_step.cfg", "scen_pss_step_nu0.cfg"))
+    print(f"damping metric with stabilizer: {with_pss:.4f}")
+    print(f"damping metric without:         {without:.4f}")
+    for scenario in ("scen_h_drift.cfg", "scen_pm_drop.cfg"):
+        trace = traces[scenario]
+        settle = trace.t >= 4.0
+        rel = np.abs(trace.v_t[settle] - trace.v_ref[settle]) / trace.v_ref[settle]
+        print(f"{scenario}: max tracking error {100 * np.max(rel):.4f} % from 4 s on")
+    swing = traces["scen_big_swing.cfg"]
+    err_top = 100 * abs(swing.v_t[swing.at_time(2.5)] - 2.0) / 2.0
+    err_end = 100 * abs(swing.v_t[-1] - 1.1392) / 1.1392
+    print(f"big swing: error {err_top:.4f} % at the 2.0 pu plateau, "
+          f"{err_end:.4f} % after the return")
+    run("compare", os.path.join(RESULTS, "step_nominal_neural.csv"),
+        os.path.join(RESULTS, "step_nominal_st1a.csv"), "--out", os.path.join(RESULTS, DIFF))
+
     with tempfile.TemporaryDirectory() as tmp:
         weights = os.path.join(tmp, "narx_ref.nwt")
-        run(["train", "--config", "train_ref.cfg", "--out", weights])
+        run("train", "--config", "train_ref.cfg", "--out", weights)
         validate = os.path.join(tmp, "validate.cfg")
         validate_config(validate, weights)
-        run(["validate", "--config", validate])
+        run("validate", "--config", validate)
         gap = np.max(np.abs(theta_flatten(*load_weights(weights))
                             - theta_flatten(*load_weights("narx_ref.nwt"))))
     verdict = "within" if gap <= WEIGHT_GATE else "OVER"

@@ -80,7 +80,8 @@ def cmd_train(args) -> int:
         "seed": Key(parse_int, 0),
     })
     series = _load_datasets(args.config, values)
-    # lm_train reports solver failures as TrainingError, bad arguments as ValueError.
+    # lm_train reports solver failures as TrainingError, bad arguments as ValueError;
+    # a network too big to allocate is a config error too.
     try:
         train, _ = _split_datasets(series, values["train_fraction"])
         rng = np.random.default_rng(args.seed if args.seed is not None else values["seed"])
@@ -88,7 +89,7 @@ def cmd_train(args) -> int:
         g0 = networks.Mlp.random(values["hidden"], rng=rng)
         f_net, g_net, state = networks.lm_train(f0, g0, train, max_iter=values["max_iter"],
                                                 cost_tol=values["cost_tol"])
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"invalid train config {args.config}: {exc}") from exc
     networks.save_weights(args.out, f_net, g_net)
     hist_path = os.path.splitext(args.out)[0] + "_cost.csv"

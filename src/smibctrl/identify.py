@@ -61,7 +61,7 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     rng = np.random.default_rng(plan.seed)
     n_levels = -(-plan.n_samples // plan.hold)
     levels = rng.uniform(plan.u_min, plan.u_max, size=n_levels)
-    u_series = np.repeat(levels, plan.hold)[: plan.n_samples]
+    u_series = levels[np.arange(plan.n_samples) // min(plan.hold, plan.n_samples)]
     for k in range(plan.n_samples):
         y_series[k] = machine.terminal_voltage(x, params)
         try:

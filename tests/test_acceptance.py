@@ -6,6 +6,7 @@ identification-quality check trains from scratch at desk scale.
 """
 
 import filecmp
+import importlib.util
 import os
 import time
 
@@ -235,3 +236,15 @@ def test_shipped_result_traces_reproduced(scenario_trace):
         worst = max(float(np.max(np.abs(getattr(trace, c) - getattr(shipped, c))))
                     for c in TRACE_COLUMNS)
         assert worst <= 1e-10, f"{csv}: max |diff| {worst:.3e}"
+
+
+def test_pipeline_writes_every_shipped_result():
+    # scripts/run_pipeline.py regenerates results/: every gated trace and nothing else
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    spec = importlib.util.spec_from_file_location(
+        "run_pipeline", os.path.join(root, "scripts", "run_pipeline.py"))
+    pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pipeline)
+    assert pipeline.SCENARIOS == SHIPPED_TRACES
+    written = sorted([*pipeline.SCENARIOS.values(), pipeline.DIFF])
+    assert sorted(os.listdir(os.path.join(root, "results"))) == written

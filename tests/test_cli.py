@@ -332,6 +332,7 @@ BAD_INPUTS = {
         tmp, "n_samples = 100\nu_min = -1e308\nu_max = 1e308\n"),
     "train fraction 1.5": lambda tmp: _train_on(tmp, "train_fraction = 1.5\n"),
     "train max_iter 0": lambda tmp: _train_on(tmp, "max_iter = 0\n"),
+    "train hidden 1e15 too big": lambda tmp: _train_on(tmp, f"hidden = {10**15}\n"),
     "controller d0 -1": lambda tmp: _simulate_with_controller(
         tmp, f"controller = neural\nweights = {config_path('narx_ref.nwt')}\nd0 = -1\n"),
     "controller g_min -1": lambda tmp: _simulate_with_controller(
@@ -373,6 +374,14 @@ BAD_INPUTS = {
     "trace non-numeric": lambda tmp: _compare_trace(tmp, "0,1,1,1,0,0,0,x\n"),
     "trace short row": lambda tmp: _compare_trace(tmp, "0,1,1\n"),
 }
+
+
+@pytest.mark.parametrize("hold", [10**18, 10**20])
+def test_identify_hold_longer_than_the_record_is_one_level(tmp_path, hold):
+    # one level held past the end of the record; nothing of size hold is allocated
+    assert cli_dispatch(_identify_with(tmp_path, f"n_samples = 50\nhold = {hold}\n")) == 0
+    u = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1, usecols=1)
+    assert len(u) == 50 and np.all(u == u[0])
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
