@@ -188,10 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("minphase", cmd_minphase, "tabulate transmission zeros over operating points",
         needs_config=False)
     add("simulate", cmd_simulate, "run a scripted closed-loop scenario", needs_out=True)
-    comp = add("compare", cmd_compare, "diff two trace files on their common grid",
-               needs_config=False)
+    comp = sub.add_parser("compare", help="diff two trace files on their common grid")
     comp.add_argument("trace_a", help="first trace CSV")
     comp.add_argument("trace_b", help="second trace CSV")
+    comp.add_argument("--out", help="output file")
+    comp.set_defaults(func=cmd_compare)
     return parser
 
 

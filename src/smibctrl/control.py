@@ -72,8 +72,6 @@ def u_tilde(r: float, y_hist, placement: PolePlacement) -> float:
 
     y_hist is newest first and must hold at least p values.
     """
-    if placement.p == 0:
-        return placement.k1 * r
     y_hist = np.asarray(y_hist, dtype=float)
     if len(y_hist) < placement.p:
         raise ValueError(f"need {placement.p} past outputs, have {len(y_hist)}")

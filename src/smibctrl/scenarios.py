@@ -208,8 +208,7 @@ def _control_law(ctrl_cfg: ControllerConfig, y_eq: float):
         g_min=g_min, adapt=ctrl_cfg.adapt)
 
     def neural(v_ref, v_t, slip):
-        nonlocal state
-        u_pert, state = control_step(state, v_ref, v_t, slip)  # a tracer may wrap this name
+        u_pert, _ = control_step(state, v_ref, v_t, slip)  # a tracer may wrap this name
         return u_pert, state.last_e_star, float(state.last_adapted)
 
     return neural
@@ -285,31 +284,6 @@ class UndefinedMetricError(RuntimeError):
     """The power-angle trace after t_from has no measurable oscillation decay."""
 
 
-def _find_peaks(x, height, prominence):
-    """Indices of the peaks of x with at least the given height and prominence.
-
-    Follows the rules of SciPy's find_peaks: a peak is a strict local
-    maximum; a flat top counts once, at its middle sample, and is no peak
-    if it touches either end of x. A peak's prominence is its rise above
-    the higher of its two bases, each the least sample on that side up to
-    the first strictly higher sample or the end of x.
-    """
-    slope = np.sign(np.diff(x))
-    moves = np.flatnonzero(slope)  # i where x[i + 1] != x[i]
-    turns = (slope[moves[:-1]] > 0) & (slope[moves[1:]] < 0)
-    peaks = (moves[:-1][turns] + 1 + moves[1:][turns]) // 2
-    peaks = peaks[x[peaks] >= height]
-    keep = np.zeros(len(peaks), dtype=bool)
-    for k, p in enumerate(peaks):
-        higher_left = np.flatnonzero(x[:p] > x[p])
-        higher_right = np.flatnonzero(x[p + 1:] > x[p])
-        start = higher_left[-1] + 1 if len(higher_left) else 0
-        stop = p + 1 + higher_right[0] if len(higher_right) else len(x)
-        base = max(np.min(x[start:p + 1]), np.min(x[p:stop]))
-        keep[k] = x[p] - base >= prominence
-    return peaks[keep]
-
-
 def damping_metric(trace: Trace, t_from: float) -> float:
     """Log-decrement of the power-angle oscillation after t_from.
 
@@ -326,7 +300,8 @@ def damping_metric(trace: Trace, t_from: float) -> float:
     amp = float(np.max(x))
     if amp <= 0.0:
         raise UndefinedMetricError("power angle is constant after t_from")
-    peaks = _find_peaks(x, 1e-3 * amp, 1e-4 * amp)
+    from scipy.signal import find_peaks  # SciPy loads only for this metric
+    peaks, _ = find_peaks(x, height=1e-3 * amp, prominence=1e-4 * amp)
     if len(peaks) < 2:
         raise UndefinedMetricError(f"found {len(peaks)} oscillation peaks, need at least 2")
     amps = x[peaks]

@@ -155,6 +155,14 @@ def test_unknown_flag_exits_2(capsys):
     assert cli_dispatch(["simulate", "--config", "x", "--frobnicate"]) == 2
 
 
+def test_compare_takes_no_config(capsys):
+    traces = [os.path.join(os.path.dirname(__file__), os.pardir, "results",
+                           f"pss_step_nu{nu}.csv") for nu in (0, 3)]
+    assert cli_dispatch(["compare", *traces]) == 0
+    assert cli_dispatch(["compare", "--config", "/nonexistent/x.cfg", *traces]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_missing_out_exits_2_before_any_work(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before --out was checked")

@@ -6,16 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from scipy.signal import find_peaks
 
 from smibctrl import scenarios
 from smibctrl.configio import ConfigError
 from smibctrl.control import synthesize_poly
 from smibctrl.machine import SynchronismLost
 from smibctrl.scenarios import (Event, ScenarioError, Trace, UndefinedMetricError,
-                                _find_peaks, compare_traces, damping_metric,
+                                compare_traces, damping_metric,
                                 TRACE_COLUMNS, load_controller_config, parse_scenario,
                                 run_oracle_loop, run_scenario)
 
@@ -113,41 +110,6 @@ def test_damping_metric_rejects_non_finite_angle(where, value):
             damping_metric(trace, 0.0)
 
 
-SHIPPED_TRACES = ["big_swing", "h_drift", "pm_drop", "pss_step_nu0", "pss_step_nu3",
-                  "step_far_neural", "step_nominal_neural", "step_nominal_st1a"]
-
-
-@pytest.mark.parametrize("t_from", [0.0, 1.0, 2.0])
-@pytest.mark.parametrize("name", SHIPPED_TRACES)
-def test_find_peaks_matches_scipy_on_shipped_traces(name, t_from):
-    trace = Trace.from_csv(os.path.join(REPO, "results", f"{name}.csv"))
-    d = trace.delta[trace.t >= t_from]
-    x = np.abs(d - d[-1])
-    amp = float(np.max(x))
-    expected, _ = find_peaks(x, height=1e-3 * amp, prominence=1e-4 * amp)
-    assert len(expected) >= 2
-    assert np.array_equal(_find_peaks(x, 1e-3 * amp, 1e-4 * amp), expected)
-
-
-# small integers give plateaus, ties and flat tops at either end
-_samples = st.one_of(st.lists(st.integers(0, 3).map(float), max_size=60),
-                     st.lists(st.floats(-4.0, 4.0), max_size=60))
-_threshold = st.one_of(st.integers(-1, 4).map(float), st.floats(-1.0, 4.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_samples, _threshold, _threshold)
-@example([], 0.0, 0.0)
-@example([1.0], 0.0, 0.0)
-@example([1.0, 2.0], 0.0, 0.0)
-@example([0.0, 1.0, 0.0], 1.0, 1.0)
-@example([2.0, 2.0, 1.0, 3.0, 3.0], 0.0, 0.0)
-def test_find_peaks_matches_scipy_on_random_sequences(samples, height, prominence):
-    x = np.array(samples, dtype=float)
-    expected, _ = find_peaks(x, height=height, prominence=prominence)
-    assert np.array_equal(_find_peaks(x, height, prominence), expected)
-
-
 def _probe(code, *args):
     """stdout of a fresh interpreter running code with the in-tree package."""
     paths = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
@@ -171,6 +133,14 @@ def test_scipy_loads_only_for_linearize():
              "x, u = m.find_equilibrium(p, 1.1392); m.advance(x, u, 2e-3, p); "
              f"print({SCIPY_LOADED}); m.linearize(p, x, u); print('scipy.linalg' in sys.modules)")
     assert _probe(probe) == ["[]", "True"]
+
+
+def test_scipy_loads_for_damping_metric():
+    probe = ("import sys, smibctrl.scenarios as s; "
+             f"print({SCIPY_LOADED}); s.damping_metric(s.Trace.from_csv(sys.argv[1]), 2.0); "
+             "print('scipy.signal' in sys.modules)")
+    trace = os.path.join(REPO, "results", "pss_step_nu3.csv")
+    assert _probe(probe, trace) == ["[]", "True"]
 
 
 @pytest.mark.parametrize("command", ["train", "validate", "compare", "identify", "simulate"])
