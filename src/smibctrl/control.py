@@ -122,8 +122,6 @@ class NeuralPlantModel:
     and g_net are views of it, so writing theta in place adapts both.
     """
 
-    adaptable = True
-
     def __init__(self, f_net: Mlp, g_net: Mlp):
         self.theta = theta_flatten(f_net, g_net)
         # unequal hidden sizes fail here
@@ -137,22 +135,6 @@ class NeuralPlantModel:
 
     def jacobian(self, z, u: float) -> np.ndarray:
         return weight_jacobian(self.f_net, self.g_net, z, u)
-
-
-class ExactPlantModel:
-    """Oracle model wrapping closed-form f and g; not adaptable."""
-
-    adaptable = False
-
-    def __init__(self, f_fun, g_fun):
-        self._f = f_fun
-        self._g = g_fun
-
-    def f(self, z) -> float:
-        return float(self._f(np.asarray(z, dtype=float)))
-
-    def g(self, z) -> float:
-        return float(self._g(np.asarray(z, dtype=float)))
 
 
 @dataclass
@@ -217,7 +199,7 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
     if ctrl.last_prediction is not None:
         e_star = ctrl.last_prediction - y_meas
         ctrl.last_e_star = float(e_star)
-        if ctrl.adapt and ctrl.model.adaptable and abs(e_star) > ctrl.d0:
+        if ctrl.adapt and abs(e_star) > ctrl.d0:
             # theta has not moved since the prediction, and u(k-1) is u_hist[0]
             jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
             ctrl.model.theta[:] = online_update(ctrl.model.theta, jac, e_star, ctrl.d0)

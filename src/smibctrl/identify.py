@@ -119,10 +119,14 @@ class ValidationReport:
 
 
 def cross_validate(f_net: Mlp, g_net: Mlp, holdout: Dataset) -> ValidationReport:
-    """One-step-ahead errors y_hat - y over the holdout records."""
+    """One-step-ahead errors y_hat - y over the holdout records; a non-finite
+    prediction raises FloatingPointError."""
     if len(holdout) == 0:
         raise ValueError("holdout set is empty")
-    errors = predict_batch(f_net, g_net, holdout.z, holdout.u) - holdout.y_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = predict_batch(f_net, g_net, holdout.z, holdout.u) - holdout.y_next
+    if not np.all(np.isfinite(errors)):
+        raise FloatingPointError("holdout prediction is not finite")
     max_err = float(np.max(np.abs(errors)))
     max_out = float(np.max(np.abs(holdout.y_next)))
     rel = 100.0 * max_err / max_out if max_out > 0 else math.inf

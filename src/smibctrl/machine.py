@@ -180,7 +180,12 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
                 m41 * l1 + m44 * l4)
 
     def voltages(x):
-        """Currents (5 floats) and stator voltages v_d, v_q."""
+        """Currents (5 floats) and stator voltages v_d, v_q.
+
+        The transmission drop is the skew pairing (-x11 Iq in v_d, +x11 Id in
+        v_q); a symmetric pairing would invert the sense of voltage regulation
+        and destabilize any positive-gain exciter.
+        """
         # before sin, which raises ValueError on an infinite angle
         if not isfinite(x[0]):
             raise DivergenceError("power angle is not finite")
@@ -257,22 +262,6 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
 
 def _floats(x) -> tuple:
     return tuple(np.asarray(x, dtype=float).tolist())
-
-
-def dq_currents(lam, params: MachineParams) -> np.ndarray:
-    """Winding currents solving L i = lambda."""
-    return np.array(_assembled(params).currents(_floats(lam)))
-
-
-def dq_voltages(x, params: MachineParams):
-    """Currents [Id, Iq, If, Ikd, Ikq] and stator voltages v_d, v_q (pu) at x.
-
-    The transmission drop is the skew pairing (-x11 Iq in v_d, +x11 Id in
-    v_q); a symmetric pairing would invert the sense of voltage regulation
-    and destabilize any positive-gain exciter.
-    """
-    i, v_d, v_q = _assembled(params).voltages(_floats(x))
-    return np.array(i), v_d, v_q
 
 
 def terminal_voltage(x, params: MachineParams) -> float:

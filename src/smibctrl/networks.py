@@ -199,7 +199,8 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     batch, where e is the prediction error y_hat - y.  mu is divided by 10
     on an accepted step and multiplied by 10 while a trial step increases
     the cost.  Returns (f_net, g_net, LmState), the networks views of the
-    final theta; the accepted-step cost sequence is non-increasing.
+    final theta.  The accepted-step cost sequence is non-increasing, so a
+    finite starting cost, which TrainingError enforces, stays finite.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -209,7 +210,10 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     theta = theta_flatten(f_net, g_net)
     f_net, g_net = theta_unflatten(theta, p)   # unequal hidden sizes fail here
     state = LmState(mu=LM_MU0)
-    cost = mse_cost(f_net, g_net, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = mse_cost(f_net, g_net, data)
+    if not np.isfinite(cost):
+        raise TrainingError(f"starting cost is not finite: {cost}")
     state.cost_history.append(cost)
     identity = np.eye(theta.size)
     jt = np.empty((theta.size, len(data)))   # J', refilled every iteration

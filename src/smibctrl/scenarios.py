@@ -17,8 +17,8 @@ from . import machine
 from .configio import (ConfigError, Key, parse_bool, parse_float, parse_int,
                        parse_str, read_config, read_table, resolve_path,
                        write_table)
-from .control import (MAX_ORDER, ControllerState, ExactPlantModel, NeuralPlantModel,
-                      PolePlacement, control_step, synthesize_poly)
+from .control import (MAX_ORDER, ControllerState, NeuralPlantModel, PolePlacement,
+                      control_step, synthesize_poly)
 from .networks import N_LAGS_U, N_LAGS_Y, load_weights, make_regressor
 
 TRACE_COLUMNS = ("t", "v_ref", "v_t", "v_f", "delta", "omega", "e_star", "adapted")
@@ -240,13 +240,6 @@ def instants(cfg: ScenarioConfig):
                                           f" s: |delta| = {abs(x[0]):.4g} rad")
 
 
-def _filled(table: np.ndarray, rows) -> Trace:
-    """The Trace whose columns are table's rows, filled from rows in TRACE_COLUMNS order."""
-    for k, row in enumerate(rows):
-        table[:, k] = row
-    return Trace(*table)
-
-
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Simulate one scripted closed-loop experiment."""
     try:
@@ -254,30 +247,9 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     except (MemoryError, ValueError) as exc:
         raise ScenarioError(f"a trace of {cfg.n_steps:.4g} instants ({cfg.t_end:g} s)"
                             " does not fit in memory") from exc
-    return _filled(table, instants(cfg))
-
-
-def run_oracle_loop(placement: PolePlacement, f_fun, g_fun, r_series,
-                    y0: float = 0.0, g_min: float = 1e-9) -> Trace:
-    """Close the loop around a synthetic plant whose f and g are known exactly.
-
-    The controller uses the same f and g, so the output must satisfy the
-    target difference equation y(k+1) = k1 r(k) - sum C_i y(k-i).
-    """
-    r_series = np.asarray(r_series, dtype=float).tolist()
-
-    def rows():
-        ctrl = ControllerState.at_equilibrium(ExactPlantModel(f_fun, g_fun), y0,
-                                              placement=placement, nu=0.0, d0=0.0,
-                                              g_min=g_min, adapt=False)
-        y = float(y0)
-        for k, r in enumerate(r_series):
-            u, ctrl = control_step(ctrl, r, y, 0.0)
-            z = ctrl.last_regressor
-            yield k, r, y, u, 0.0, 0.0, 0.0, 0.0
-            y = float(f_fun(z)) + float(g_fun(z)) * u
-
-    return _filled(np.empty((len(TRACE_COLUMNS), len(r_series))), rows())
+    for k, row in enumerate(instants(cfg)):
+        table[:, k] = row
+    return Trace(*table)
 
 
 class UndefinedMetricError(RuntimeError):

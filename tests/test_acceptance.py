@@ -20,11 +20,10 @@ from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
 from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_validate,
                                excite_and_record, split)
 from smibctrl.networks import Mlp, lm_train, theta_flatten, theta_unflatten, weight_jacobian
-from smibctrl.scenarios import (TRACE_COLUMNS, Trace, damping_metric, parse_scenario,
-                                run_oracle_loop, run_scenario)
+from smibctrl.scenarios import TRACE_COLUMNS, Trace, damping_metric, parse_scenario, run_scenario
 
 from conftest import config_path, predict_one
-from test_scenarios import oracle_residuals, synthetic_f, synthetic_g
+from test_scenarios import oracle_residuals, run_oracle_loop, synthetic_f, synthetic_g
 
 
 def verdict(number, name, detail=""):
@@ -90,8 +89,8 @@ def test_criterion_03_exact_model_linear_loop(p):
     r = np.ones(500)
     r[:60] = 0.0
     r[350:] = 0.35
-    trace = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
-    residual = oracle_residuals(placement, trace)
+    y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
+    residual = oracle_residuals(placement, r, y)
     assert residual <= 1e-12
     verdict(3, f"exact-model loop p={p}", f"max residual {residual:.2e} over 500 steps")
 

@@ -230,6 +230,10 @@ NUMERICAL_FAILURES = {
                                             machine_cfg=_machine(tmp, "r_f = 0\n")),
     "identify r_f 0": lambda tmp: _identify_with(tmp, "n_samples = 100\n",
                                                  machine_cfg=_machine(tmp, "r_f = 0\n")),
+    # predictions and costs that overflow on finite weights or data
+    "validate weights 1e308": lambda tmp: _validate_with_weights(
+        tmp, "narx-v1 p=1 in=13\n" + "1e308\n" * 32),
+    "train records 1e308": lambda tmp: _overflowing_dataset(tmp),
 }
 
 
@@ -259,6 +263,19 @@ def test_minphase_overflow_is_one_clean_failure_line(tmp_path, capsys, machine_l
     assert [str(w.message) for w in caught] == []
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("case", ["validate weights 1e308", "train records 1e308"])
+def test_network_overflow_is_one_clean_failure_line(tmp_path, capsys, case):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_dispatch(NUMERICAL_FAILURES[case](tmp_path))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+    assert not (tmp_path / "w_cost.csv").exists()
 
 
 def test_subnormal_inductance_exits_2_without_a_warning(tmp_path, capsys):
@@ -309,6 +326,12 @@ def _identify_with(tmp_path, extra, machine_cfg=config_path("machine_ref.cfg")):
 def _bad_dataset(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("k,u,y\n0,0.1,1.1\n1,abc,1.1\n")
+    return _train_on(tmp_path, "", dataset=data)
+
+
+def _overflowing_dataset(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("k,u,y\n" + "".join(f"{k},1e308,1e308\n" for k in range(40)))
     return _train_on(tmp_path, "", dataset=data)
 
 

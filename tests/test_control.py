@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl.control import (ControllerState, ExactPlantModel, NeuralPlantModel,
-                              control_step, deadzone, linearizing_control, online_update,
-                              synthesize_poly, u_tilde)
+from smibctrl.control import (ControllerState, NeuralPlantModel, control_step, deadzone,
+                              linearizing_control, online_update, synthesize_poly, u_tilde)
 from smibctrl.networks import Mlp, theta_flatten
 
 PRINTED_SEVENTH = [-4.9, 10.29, -12.005, 8.4035, -3.5295, 0.8235, -0.0824]
@@ -229,12 +228,3 @@ def test_pss_zero_reduces_to_plain_linearizing_loop():
         # the augmented law collapses to the plain one
         assert u_a == u_b
 
-
-def test_exact_model_is_not_adaptable():
-    model = ExactPlantModel(lambda z: 0.0, lambda z: 1.0)
-    ctrl = ControllerState.at_equilibrium(model, 0.0, placement=synthesize_poly([0.7]),
-                                          nu=0.0, d0=0.0, g_min=1e-9, adapt=True)
-    control_step(ctrl, 1.0, 0.0, 0.0)
-    u, _ = control_step(ctrl, 1.0, 0.7, 0.0)
-    assert np.isfinite(u)
-    assert not ctrl.last_adapted

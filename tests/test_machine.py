@@ -9,11 +9,19 @@ from hypothesis import strategies as st
 
 from smibctrl import machine
 from smibctrl.configio import ConfigError
-from smibctrl.machine import (MachineParams, derivatives, dq_currents, dq_voltages,
-                              find_equilibrium, inductance_matrix, linearize,
-                              load_machine_config, rk4_step, st1a_control, terminal_voltage)
+from smibctrl.machine import (MachineParams, derivatives, find_equilibrium, inductance_matrix,
+                              linearize, load_machine_config, rk4_step, st1a_control,
+                              terminal_voltage)
 
 from conftest import config_path
+
+
+def dq_currents(lam, params):
+    return np.array(machine._assembled(params).currents(machine._floats(lam)))
+
+
+def dq_voltages(x, params):
+    return machine._assembled(params).voltages(machine._floats(x))  # (currents, v_d, v_q)
 
 
 def diagonal_params():

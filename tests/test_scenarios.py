@@ -3,18 +3,19 @@ import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from smibctrl import scenarios
 from smibctrl.configio import ConfigError
-from smibctrl.control import synthesize_poly
+from smibctrl.control import ControllerState, control_step, synthesize_poly
 from smibctrl.machine import SynchronismLost
 from smibctrl.scenarios import (Event, ScenarioError, Trace, UndefinedMetricError,
                                 compare_traces, damping_metric,
                                 TRACE_COLUMNS, load_controller_config, parse_scenario,
-                                run_oracle_loop, run_scenario)
+                                run_scenario)
 
 from conftest import config_path
 
@@ -36,10 +37,21 @@ def reference_series(n=500):
     return r
 
 
-def oracle_residuals(placement, trace):
-    """Per-step defect of the target difference equation."""
-    y = trace.v_t
-    r = trace.v_ref
+def run_oracle_loop(placement, f, g, r_series):
+    """Outputs y(0) = 0, ..., y(n-1) of the loop closed around the plant
+    y(k+1) = f(z) + g(z) u(k), with f and g known exactly to the controller."""
+    ctrl = ControllerState.at_equilibrium(SimpleNamespace(f=f, g=g), 0.0, placement=placement,
+                                          nu=0.0, d0=0.0, g_min=1e-9, adapt=False)
+    y = [0.0]
+    for r in r_series[:-1]:
+        u, _ = control_step(ctrl, r, y[-1], 0.0)
+        z = ctrl.last_regressor
+        y.append(f(z) + g(z) * u)
+    return np.array(y)
+
+
+def oracle_residuals(placement, r, y):
+    """Per-step defect of the target difference equation y(k+1) = k1 r(k) - sum C_i y(k-i)."""
     res = []
     for k in range(len(y) - 1):
         acc = placement.k1 * r[k]
@@ -56,23 +68,24 @@ def oracle_residuals(placement, trace):
 @pytest.mark.parametrize("p", [0, 1, 3, 7])
 def test_oracle_loop_satisfies_difference_equation(p):
     placement = synthesize_poly([0.7] * p)
-    trace = run_oracle_loop(placement, synthetic_f, synthetic_g, reference_series())
-    assert oracle_residuals(placement, trace) <= 1e-12
+    r = reference_series()
+    y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
+    assert oracle_residuals(placement, r, y) <= 1e-12
 
 
 def test_oracle_loop_deadbeat_case():
     placement = synthesize_poly([])
     r = reference_series()
-    trace = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
-    assert np.max(np.abs(trace.v_t[1:] - r[:-1])) <= 1e-13
+    y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
+    assert np.max(np.abs(y[1:] - r[:-1])) <= 1e-13
 
 
 def test_oracle_loop_first_order_geometric():
     placement = synthesize_poly([0.7])
     r = np.ones(100)
-    trace = run_oracle_loop(placement, synthetic_f, synthetic_g, r, y0=0.0)
+    y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
     expected = 1.0 - 0.7 ** np.arange(100)
-    assert np.max(np.abs(trace.v_t - expected)) <= 1e-12
+    assert np.max(np.abs(y - expected)) <= 1e-12
 
 
 def test_damping_metric_analytic_sinusoid():
