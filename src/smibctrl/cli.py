@@ -121,17 +121,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_minphase(args) -> int:
-    if args.config:
-        values = read_config(args.config, "minphase", {
-            "machine": Key(parse_str),
-            "v_target": Key(parse_float, DEFAULT_MINPHASE_GRID, repeat=True),
-        })
-        params = machine.load_machine_config(resolve_path(args.config, values["machine"]))
-        grid = values["v_target"]
-    else:
-        params, grid = machine.MachineParams(), DEFAULT_MINPHASE_GRID
+    values = read_config(args.config, "minphase", {
+        "machine": Key(parse_str),
+        "v_target": Key(parse_float, DEFAULT_MINPHASE_GRID, repeat=True),
+    })
+    params = machine.load_machine_config(resolve_path(args.config, values["machine"]))
     models = [(v_target, machine.linearize(params, *machine.find_equilibrium(params, v_target)))
-              for v_target in grid]  # a numerical failure prints no partial table
+              for v_target in values["v_target"]]  # a numerical failure prints no partial table
     rows = []
     print(f"{'v_target':>9} {'c.b':>12} {'max Re(zero)':>13}  zeros")
     for v_target, model in models:
@@ -172,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_config=True, needs_out=False):
+    def add(name, func, help_text, needs_out=False):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=needs_config, help="config file")
+        sp.add_argument("--config", required=True, help="config file")
         sp.add_argument("--out", required=needs_out, help="output file")
         sp.set_defaults(func=func)
         return sp
@@ -185,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        needs_out=True)):
         seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
     add("validate", cmd_validate, "cross-validate a weight file on held-out data")
-    add("minphase", cmd_minphase, "tabulate transmission zeros over operating points",
-        needs_config=False)
+    add("minphase", cmd_minphase, "tabulate transmission zeros over operating points")
     add("simulate", cmd_simulate, "run a scripted closed-loop scenario", needs_out=True)
     comp = sub.add_parser("compare", help="diff two trace files on their common grid")
     comp.add_argument("trace_a", help="first trace CSV")

@@ -80,39 +80,12 @@ def u_tilde(r: float, y_hist, placement: PolePlacement) -> float:
 
 
 def linearizing_control(f_hat: float, g_hat: float, u_til: float, g_min: float) -> float:
-    """Model inversion with a sign-preserving floor on the input gain."""
-    if not g_min > 0.0:
-        raise ValueError("g_min must be positive")
+    """Model inversion with a sign-preserving floor g_min > 0 on the input gain."""
     if abs(g_hat) >= g_min:
         g_safe = g_hat
     else:
         g_safe = g_min if g_hat >= 0.0 else -g_min
     return (-f_hat + u_til) / g_safe
-
-
-def deadzone(e: float, d0: float) -> float:
-    """Shrink e toward zero by d0; exactly zero inside the band."""
-    if d0 < 0.0:
-        raise ValueError("deadzone radius must be non-negative")
-    if e > d0:
-        return e - d0
-    if e < -d0:
-        return e + d0
-    return 0.0
-
-
-def online_update(theta: np.ndarray, jac: np.ndarray, e_star: float, d0: float) -> np.ndarray:
-    """Normalized-gradient weight update, gated by the deadzone.
-
-    Returns theta unchanged (the same array) when |e_star| <= d0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    jac = np.asarray(jac, dtype=float)
-    if theta.shape != jac.shape:
-        raise ValueError("theta and jacobian shapes differ")
-    if abs(e_star) <= d0:
-        return theta
-    return theta - (deadzone(e_star, d0) / (1.0 + float(jac @ jac))) * jac
 
 
 class NeuralPlantModel:
@@ -144,8 +117,8 @@ class ControllerState:
     The constants are the pole-placement target, the damping gain k_pss on
     the per-unit slip, the deadzone radius d0, the floor g_min on |g_hat|
     and the adaptation switch.  Histories are newest-first; at_equilibrium
-    seeds them.  No adaptation happens on the first step since no
-    prediction exists yet.
+    seeds them and sets the floor.  No adaptation happens on the first step
+    since no prediction exists yet.
     """
 
     model: object
@@ -169,19 +142,15 @@ class ControllerState:
 
     @classmethod
     def at_equilibrium(cls, model, y_eq: float, *, placement: PolePlacement, nu: float,
-                       d0: float, g_min: float, adapt: bool):
+                       d0: float, adapt: bool):
         """Histories at the output y_eq and zero input perturbation; the
-        damping gain is nu * PSS_BASE_GAIN."""
-        return cls(
-            model=model,
-            placement=placement,
-            k_pss=nu * PSS_BASE_GAIN,
-            d0=d0,
-            g_min=g_min,
-            adapt=adapt,
-            y_hist=np.full(max(placement.p, N_LAGS_Y), float(y_eq)),
-            u_hist=np.zeros(N_LAGS_U),
-        )
+        damping gain is nu * PSS_BASE_GAIN and the floor g_min a tenth of
+        |g_hat| at that operating point."""
+        y_hist = np.full(max(placement.p, N_LAGS_Y), float(y_eq))
+        u_hist = np.zeros(N_LAGS_U)
+        g_eq = model.g(make_regressor(y_hist, u_hist))
+        return cls(model=model, placement=placement, k_pss=nu * PSS_BASE_GAIN, d0=d0,
+                   g_min=max(0.1 * abs(g_eq), 1e-9), adapt=adapt, y_hist=y_hist, u_hist=u_hist)
 
 
 def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
@@ -200,9 +169,11 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
         e_star = ctrl.last_prediction - y_meas
         ctrl.last_e_star = float(e_star)
         if ctrl.adapt and abs(e_star) > ctrl.d0:
-            # theta has not moved since the prediction, and u(k-1) is u_hist[0]
+            # Normalized-gradient step on the error shrunk toward zero by d0.
+            # theta has not moved since the prediction, and u(k-1) is u_hist[0].
             jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
-            ctrl.model.theta[:] = online_update(ctrl.model.theta, jac, e_star, ctrl.d0)
+            step = (e_star - math.copysign(ctrl.d0, e_star)) / (1.0 + float(jac @ jac))
+            ctrl.model.theta -= step * jac
             ctrl.last_adapted = True
 
     ctrl.y_hist = np.concatenate(([y_meas], ctrl.y_hist[:-1]))

@@ -176,6 +176,14 @@ def test_missing_out_exits_2_before_any_work(monkeypatch, capsys):
         assert "--out" in capsys.readouterr().err, command
 
 
+def test_every_command_but_compare_needs_a_config(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for command in ("identify", "train", "validate", "minphase", "simulate"):
+        assert cli_dispatch([command, "--out", str(out)]) == 2, command
+        assert "--config" in capsys.readouterr().err, command
+    assert not out.exists()
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     scen = tmp_path / "s.cfg"
     scen.write_text("not a scenario\n")
@@ -222,7 +230,7 @@ NUMERICAL_FAILURES = {
     "neural p 4 nu 0 slips": lambda tmp: _simulate(tmp, "t_end = 1.0\n", _controller(
         tmp, "p = 4\npole = 0.7\nnu = 0\nd0 = 1e-4\n")),
     "default controller nu 0 slips": lambda tmp: _simulate(tmp, "t_end = 0.2\n", _controller(
-        tmp, "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\ng_min = auto\nadapt = true\n")),
+        tmp, "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\nadapt = true\n")),
     "machine x11 1e308": lambda tmp: _minphase(tmp, "x11 = 1e308\n"),
     "machine D 1e308": lambda tmp: _minphase(tmp, "D = 1e308\n"),
     # r_f = 0 leaves L regular but the steady-flux matrix singular
@@ -232,6 +240,8 @@ NUMERICAL_FAILURES = {
                                                  machine_cfg=_machine(tmp, "r_f = 0\n")),
     # predictions and costs that overflow on finite weights or data
     "validate weights 1e308": lambda tmp: _validate_with_weights(
+        tmp, "narx-v1 p=1 in=13\n" + "1e308\n" * 32),
+    "simulate weights 1e308": lambda tmp: _simulate_with_weights(
         tmp, "narx-v1 p=1 in=13\n" + "1e308\n" * 32),
     "train records 1e308": lambda tmp: _overflowing_dataset(tmp),
 }
@@ -265,7 +275,8 @@ def test_minphase_overflow_is_one_clean_failure_line(tmp_path, capsys, machine_l
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
 
 
-@pytest.mark.parametrize("case", ["validate weights 1e308", "train records 1e308"])
+@pytest.mark.parametrize("case", ["validate weights 1e308", "simulate weights 1e308",
+                                  "train records 1e308"])
 def test_network_overflow_is_one_clean_failure_line(tmp_path, capsys, case):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -303,6 +314,12 @@ def _validate_with_weights(tmp_path, weights_text):
     cfg = tmp_path / "v.cfg"
     cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\nweights = {weights}\n")
     return ["validate", "--config", str(cfg)]
+
+
+def _simulate_with_weights(tmp_path, weights_text):
+    weights = tmp_path / "w.nwt"
+    weights.write_text(weights_text)
+    return _simulate_with_controller(tmp_path, f"controller = neural\nweights = {weights}\n")
 
 
 def _train_on(tmp_path, extra, dataset=None):
@@ -447,11 +464,11 @@ def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.integers(-2, 1100), st.just(10**9)), FUZZ_VALUES, FUZZ_VALUES,
-           FUZZ_VALUES, FUZZ_VALUES)
-    def controller(p, pole, nu, d0, g_min):
+           FUZZ_VALUES)
+    def controller(p, pole, nu, d0):
         ctrl = tmp / "c.cfg"
         ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
-                        f"p = {p}\npole = {pole}\nnu = {nu}\nd0 = {d0}\ng_min = {g_min}\n")
+                        f"p = {p}\npole = {pole}\nnu = {nu}\nd0 = {d0}\n")
         assert cli_dispatch(_simulate(tmp, "t_end = 0.02\n", ctrl)) in (0, 2, 3)
 
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl.control import (ControllerState, NeuralPlantModel, control_step, deadzone,
-                              linearizing_control, online_update, synthesize_poly, u_tilde)
-from smibctrl.networks import Mlp, theta_flatten
+from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
+                              linearizing_control, synthesize_poly, u_tilde)
+from smibctrl.networks import Mlp, make_regressor, mlp_forward, theta_flatten
 
 PRINTED_SEVENTH = [-4.9, 10.29, -12.005, 8.4035, -3.5295, 0.8235, -0.0824]
 
@@ -76,11 +78,6 @@ def test_linearizing_control_examples():
     assert linearizing_control(0.0, 0.0, 1.0, 0.01) == pytest.approx(100.0)  # sign(0) := +1
 
 
-def test_linearizing_control_guard():
-    with pytest.raises(ValueError):
-        linearizing_control(0.0, 1.0, 1.0, 0.0)
-
-
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-2, 2))
 def test_linearizing_control_finite(f_hat, u_til, g_hat):
     out = linearizing_control(f_hat, g_hat, u_til, 0.05)
@@ -99,69 +96,84 @@ def test_pss_gain_value():
     assert u_b == plain
 
 
-def test_deadzone_cases():
-    assert deadzone(0.005, 0.01) == 0.0
-    assert deadzone(0.03, 0.01) == pytest.approx(0.02)
-    assert deadzone(-0.03, 0.01) == pytest.approx(-0.02)
-    assert deadzone(0.01, 0.01) == 0.0
-
-
-@given(st.floats(-10, 10), st.floats(0, 5))
-def test_deadzone_shrinks(e, d0):
-    out = deadzone(e, d0)
-    assert abs(out) <= abs(e) + 1e-15
-    # continuity at the band edges
-    eps = 1e-9
-    assert abs(deadzone(d0 + eps, d0)) <= 2e-9
-    assert abs(deadzone(-d0 - eps, d0)) <= 2e-9
-
-
-def test_online_update_inside_deadzone_is_bitwise_identity():
-    theta = np.random.default_rng(1).normal(size=152)
-    jac = np.random.default_rng(2).normal(size=152)
-    out = online_update(theta, jac, 0.009, 0.01)
-    assert out is theta
-
-
-def test_online_update_scalar_case():
-    theta = np.array([1.0])
-    out = online_update(theta, np.array([1.0]), 0.03, 0.01)
-    assert out[0] == pytest.approx(1.0 - 0.01, abs=1e-15)
-
-
-def test_online_update_zero_jacobian():
-    theta = np.array([0.3, -0.2])
-    out = online_update(theta, np.zeros(2), 0.5, 0.01)
-    assert np.array_equal(out, theta)
-
-
-@given(st.floats(-2, 2), st.floats(0, 0.1), st.integers(0, 100))
-@settings(max_examples=60, deadline=None)
-def test_online_update_step_bound(e_star, d0, seed):
-    rng = np.random.default_rng(seed)
-    theta = rng.normal(size=40)
-    jac = rng.normal(size=40)
-    out = online_update(theta, jac, e_star, d0)
-    norm_j = np.linalg.norm(jac)
-    bound = abs(deadzone(e_star, d0)) * norm_j / (1.0 + norm_j**2)
-    assert np.linalg.norm(out - theta) <= bound + 1e-12
-    assert np.linalg.norm(out - theta) <= abs(deadzone(e_star, d0)) / 2.0 + 1e-12
-
-
 def make_controller(adapt=True, seed=0, nu=0.0, d0=1e-6):
     rng = np.random.default_rng(seed)
     model = NeuralPlantModel(Mlp.random(5, rng=rng), Mlp.random(5, rng=rng))
     return ControllerState.at_equilibrium(model, 1.0, placement=synthesize_poly([0.7]),
-                                          nu=nu, d0=d0, g_min=1e-3, adapt=adapt)
+                                          nu=nu, d0=d0, adapt=adapt)
 
 
 def test_controller_state_rejects_bad_constants():
     with pytest.raises(ValueError):
         make_controller(d0=-1e-6)
-    model = make_controller().model
+    ctrl = make_controller()
     with pytest.raises(ValueError):
-        ControllerState.at_equilibrium(model, 1.0, placement=synthesize_poly([0.7]),
-                                       nu=0.0, d0=0.0, g_min=0.0, adapt=True)
+        ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
+                        g_min=0.0, adapt=True, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
+
+
+def test_floor_is_a_tenth_of_g_hat_at_the_operating_point(shipped_nets):
+    f_net, g_net = shipped_nets
+    ctrl = ControllerState.at_equilibrium(NeuralPlantModel(f_net, g_net), 1.1392,
+                                          placement=synthesize_poly([0.7] * 7),
+                                          nu=3.0, d0=0.01, adapt=True)
+    z_eq = make_regressor(np.full(7, 1.1392), np.zeros(6))
+    assert ctrl.g_min == max(0.1 * abs(mlp_forward(g_net, z_eq)), 1e-9)
+    assert ctrl.g_min > 1e-9
+    flat = ControllerState.at_equilibrium(SimpleNamespace(g=lambda z: 0.0), 1.1392,
+                                          placement=synthesize_poly([]),
+                                          nu=0.0, d0=0.0, adapt=False)
+    assert flat.g_min == 1e-9
+
+
+def adapting_step(ctrl, e_target):
+    """One control_step whose prediction error is about e_target; returns the
+    Jacobian the step adapts along, from the previous regressor and input."""
+    jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
+    control_step(ctrl, 1.0, ctrl.last_prediction - e_target, 0.0)
+    return jac
+
+
+@pytest.mark.parametrize("e_target", [0.3, -0.3, 2.5e-3, -4.0])
+def test_adapting_step_is_the_normalized_deadzone_gradient(e_target):
+    ctrl = make_controller(adapt=True, seed=5, d0=1e-3)
+    control_step(ctrl, 1.0, 1.0, 0.0)
+    theta0 = ctrl.model.theta.copy()
+    jac = adapting_step(ctrl, e_target)
+    e = ctrl.last_e_star
+    assert ctrl.last_adapted and abs(e) > ctrl.d0
+    expected = theta0 - (e - np.sign(e) * ctrl.d0) / (1.0 + float(jac @ jac)) * jac
+    assert ctrl.model.theta.tobytes() == expected.tobytes()
+
+
+@given(st.floats(-2, 2), st.floats(0, 0.1), st.integers(0, 100))
+@settings(max_examples=60, deadline=None)
+def test_adapting_step_is_at_most_half_the_shrunk_error(e_target, d0, seed):
+    ctrl = make_controller(adapt=True, seed=seed, d0=d0)
+    control_step(ctrl, 1.0, 1.0, 0.0)
+    theta0 = ctrl.model.theta.copy()
+    jac = adapting_step(ctrl, e_target)
+    shrunk = max(abs(ctrl.last_e_star) - d0, 0.0)
+    norm_j = np.linalg.norm(jac)
+    step = np.linalg.norm(ctrl.model.theta - theta0)
+    assert step <= shrunk * norm_j / (1.0 + norm_j**2) + 1e-12
+    assert step <= shrunk / 2.0 + 1e-12
+    assert ctrl.last_adapted == (shrunk > 0.0)
+
+
+def test_error_on_the_band_edge_leaves_theta_bitwise_unchanged():
+    probe = make_controller(adapt=True, seed=2)
+    control_step(probe, 1.0, 1.0, 0.0)
+    prediction = probe.last_prediction
+    for y_meas in (prediction - 0.01, prediction + 0.01):
+        # d0 is exactly |e|, so e = +d0 or -d0
+        ctrl = make_controller(adapt=True, seed=2, d0=abs(prediction - y_meas))
+        control_step(ctrl, 1.0, 1.0, 0.0)
+        theta0 = ctrl.model.theta.copy()
+        control_step(ctrl, 1.0, y_meas, 0.0)
+        assert abs(ctrl.last_e_star) == ctrl.d0
+        assert not ctrl.last_adapted
+        assert ctrl.model.theta.tobytes() == theta0.tobytes()
 
 
 def test_control_step_no_adaptation_keeps_theta():
@@ -196,7 +208,7 @@ def test_adaptation_writes_theta_in_place(shipped_nets):
     given_theta = theta_flatten(f_net, g_net)
     model = NeuralPlantModel(f_net, g_net)
     ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7] * 7),
-                                          nu=0.0, d0=1e-6, g_min=1e-3, adapt=True)
+                                          nu=0.0, d0=1e-6, adapt=True)
     rng = np.random.default_rng(8)
     adapted = 0
     for _ in range(50):

@@ -6,12 +6,15 @@ of machine._assembled; a refactor that renames one of them breaks the
 benchmark, not the program, so these checks pin them here.
 """
 
+import dataclasses
 import importlib.util
 import os
 
 import numpy as np
 
-from smibctrl import control, identify, machine, networks
+from smibctrl import control, identify, machine, networks, scenarios
+
+from conftest import config_path
 
 TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "perfbench", "tracing.py")
@@ -57,3 +60,20 @@ def test_traced_excitation_records_every_micro_step():
         identify.excite_and_record(machine.MachineParams(), plan)
     assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * plan.n_samples
     assert tracer.names.count("identify.excite_and_record") == 1
+
+
+def test_traced_closed_loop_records_every_layer_per_instant():
+    # closed_loop's per-layer metrics read these spans; one that no longer
+    # passes through its wrapped name would read 0 without failing
+    tracing = load_tracing()
+    cfg = dataclasses.replace(scenarios.parse_scenario(config_path("scen_pss_step.cfg")),
+                              t_end=0.2, events=[])
+    with tracing.Tracer() as tracer:
+        trace = scenarios.run_scenario(cfg)
+    n = len(trace)
+    assert n == cfg.n_steps == 100
+    assert tracer.names.count("control.control_step") == n
+    assert tracer.names.count("control.linearizing_control") == n
+    assert tracer.names.count("networks.mlp_forward") == 2 * n + 1  # f and g, and the floor
+    assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * n
+    assert tracer.names.count("networks.weight_jacobian") == int(trace.adapted.sum()) > 0

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,11 +38,16 @@ def reference_series(n=500):
     return r
 
 
-def run_oracle_loop(placement, f, g, r_series):
+def oracle_controller(placement, f, g):
+    return ControllerState.at_equilibrium(SimpleNamespace(f=f, g=g), 0.0, placement=placement,
+                                          nu=0.0, d0=0.0, adapt=False)
+
+
+def run_oracle_loop(placement, f, g, r_series, ctrl=None):
     """Outputs y(0) = 0, ..., y(n-1) of the loop closed around the plant
     y(k+1) = f(z) + g(z) u(k), with f and g known exactly to the controller."""
-    ctrl = ControllerState.at_equilibrium(SimpleNamespace(f=f, g=g), 0.0, placement=placement,
-                                          nu=0.0, d0=0.0, g_min=1e-9, adapt=False)
+    if ctrl is None:
+        ctrl = oracle_controller(placement, f, g)
     y = [0.0]
     for r in r_series[:-1]:
         u, _ = control_step(ctrl, r, y[-1], 0.0)
@@ -71,6 +77,19 @@ def test_oracle_loop_satisfies_difference_equation(p):
     r = reference_series()
     y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
     assert oracle_residuals(placement, r, y) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 7])
+def test_oracle_series_do_not_touch_the_floor(p):
+    # synthetic_g lies in [0.75, 1.25], so the floor of a tenth of g(z_eq) = 1
+    # never binds and the series are those of the old fixed floor 1e-9
+    placement = synthesize_poly([0.7] * p)
+    ctrl = oracle_controller(placement, synthetic_f, synthetic_g)
+    assert ctrl.g_min == 0.1
+    r = reference_series()
+    y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
+    y_old = run_oracle_loop(placement, synthetic_f, synthetic_g, r, replace(ctrl, g_min=1e-9))
+    assert y_old.tobytes() == y.tobytes()
 
 
 def test_oracle_loop_deadbeat_case():
@@ -246,7 +265,6 @@ def test_controller_config_parsing():
     assert cfg.kind == "neural"
     assert cfg.placement == synthesize_poly((0.7,))
     assert cfg.nu == 0.0 and cfg.d0 == 1e-4 and cfg.adapt
-    assert cfg.g_min is None
     default = load_controller_config(config_path("ctrl_neural_default.cfg"))
     assert default.placement.p == 7 and default.placement == synthesize_poly((0.7,) * 7)
 
@@ -334,7 +352,7 @@ def test_instants_stream_is_the_trace_and_calls_control_step_once_per_row(monkey
 def test_slipped_pole_raises_synchronism_lost(tmp_path):
     ctrl = tmp_path / "c.cfg"  # ctrl_neural_default.cfg with nu = 0
     ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
-                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\ng_min = auto\nadapt = true\n")
+                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\nadapt = true\n")
     scen = tmp_path / "s.cfg"
     scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
                     "t_end = 0.2\n")
