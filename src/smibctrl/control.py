@@ -135,8 +135,8 @@ class ControllerState:
     last_adapted: bool = False
 
     def __post_init__(self):
-        if not self.g_min > 0.0:
-            raise ValueError("g_min must be positive")
+        if not 0.0 < self.g_min < math.inf:
+            raise ValueError(f"g_min must be positive and finite, got {self.g_min}")
         if not self.d0 >= 0.0:
             raise ValueError("deadzone radius must be non-negative")
 
@@ -145,10 +145,12 @@ class ControllerState:
                        d0: float, adapt: bool):
         """Histories at the output y_eq and zero input perturbation; the
         damping gain is nu * PSS_BASE_GAIN and the floor g_min a tenth of
-        |g_hat| at that operating point."""
+        |g_hat| at that operating point, which must be finite."""
         y_hist = np.full(max(placement.p, N_LAGS_Y), float(y_eq))
         u_hist = np.zeros(N_LAGS_U)
         g_eq = model.g(make_regressor(y_hist, u_hist))
+        if not math.isfinite(g_eq):
+            raise FloatingPointError(f"g_hat = {g_eq} at the operating point is not finite")
         return cls(model=model, placement=placement, k_pss=nu * PSS_BASE_GAIN, d0=d0,
                    g_min=max(0.1 * abs(g_eq), 1e-9), adapt=adapt, y_hist=y_hist, u_hist=u_hist)
 

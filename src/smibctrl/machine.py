@@ -194,9 +194,20 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
         return i, r11 * i[0] - x11 * i[1] + w_d, r11 * i[1] + x11 * i[0] + w_q
 
     def rates(x, u):
-        """State rate dx/dt as 7 floats."""
-        (i0, i1, i2, i3, i4), v_d, v_q = voltages(x)
-        _, omega, lam_d, lam_q, _, _, _ = x
+        """State rate dx/dt as 7 floats.  The arithmetic and checks of `voltages`,
+        `currents` and `bus` are inlined in their order, so an RK4 stage is one call."""
+        delta, omega, lam_d, lam_q, l2, l3, l4 = x
+        if not isfinite(delta):
+            raise DivergenceError("power angle is not finite")
+        if not (isfinite(lam_d) and isfinite(lam_q) and isfinite(l2) and isfinite(l3)
+                and isfinite(l4)):
+            raise DivergenceError("winding fluxes are not finite")
+        i0, i1 = m00 * lam_d + m02 * l2 + m03 * l3, m11 * lam_q + m14 * l4
+        i2, i3 = m20 * lam_d + m22 * l2 + m23 * l3, m30 * lam_d + m32 * l2 + m33 * l3
+        i4 = m41 * lam_q + m44 * l4
+        sin_d, cos_d = sin(delta), cos(delta)
+        v_d = r11 * i0 - x11 * i1 + v_inf * (A * sin_d + B * cos_d)
+        v_q = r11 * i1 + x11 * i0 - v_inf * (B * sin_d - A * cos_d)
         s = 1.0 + omega / w_b if coupled else 1.0
         P_e = lam_d * i1 - lam_q * i0
         return (omega,
@@ -261,7 +272,7 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
 
 
 def _floats(x) -> tuple:
-    return tuple(np.asarray(x, dtype=float).tolist())
+    return tuple(map(float, x))
 
 
 def terminal_voltage(x, params: MachineParams) -> float:
@@ -274,14 +285,14 @@ def derivatives(x, u: float, params: MachineParams) -> np.ndarray:
     return np.array(_assembled(params).rates(_floats(x), u))
 
 
-def rk4_step(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
-    """One classical Runge-Kutta step holding u constant."""
+def rk4_step(x, u: float, dt: float, params: MachineParams) -> tuple:
+    """One classical Runge-Kutta step holding u constant; the state as 7 floats."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return np.array(_assembled(params).step(_floats(x), float(u), dt))
+    return _assembled(params).step(_floats(x), float(u), dt)
 
 
-def advance(x, u: float, dt: float, params: MachineParams) -> np.ndarray:
+def advance(x, u: float, dt: float, params: MachineParams) -> tuple:
     """State one control period dt later: MICRO_STEPS RK4 steps holding u constant."""
     h = dt / MICRO_STEPS
     for _ in range(MICRO_STEPS):

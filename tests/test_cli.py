@@ -289,6 +289,13 @@ def test_network_overflow_is_one_clean_failure_line(tmp_path, capsys, case):
     assert not (tmp_path / "w_cost.csv").exists()
 
 
+def test_overflowing_g_hat_fails_at_the_operating_point(tmp_path, capsys):
+    # the floor on |g_hat| would be inf, and the run would fail one instant later
+    assert cli_dispatch(NUMERICAL_FAILURES["simulate weights 1e308"](tmp_path)) == 3
+    assert capsys.readouterr().err == ("numerical failure: g_hat = inf at the operating point"
+                                       " is not finite\n")
+
+
 def test_subnormal_inductance_exits_2_without_a_warning(tmp_path, capsys):
     argv = _minphase(tmp_path, "L_d = 0\nL_ad = 1e-320\nL_kd = 0\nL_aq = 0\n")
     with warnings.catch_warnings():

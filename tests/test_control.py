@@ -112,6 +112,22 @@ def test_controller_state_rejects_bad_constants():
                         g_min=0.0, adapt=True, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
 
 
+@pytest.mark.parametrize("g_min", [np.inf, np.nan])
+def test_controller_state_rejects_a_floor_that_is_not_finite(g_min):
+    ctrl = make_controller()
+    with pytest.raises(ValueError, match="g_min must be positive and finite"):
+        ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
+                        g_min=g_min, adapt=True, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
+
+
+@pytest.mark.parametrize("g_eq", [np.inf, -np.inf, np.nan])
+def test_non_finite_g_hat_at_the_operating_point_is_named(g_eq):
+    with pytest.raises(FloatingPointError, match="at the operating point is not finite"):
+        ControllerState.at_equilibrium(SimpleNamespace(g=lambda z: g_eq), 1.1392,
+                                       placement=synthesize_poly([]), nu=0.0, d0=0.0,
+                                       adapt=False)
+
+
 def test_floor_is_a_tenth_of_g_hat_at_the_operating_point(shipped_nets):
     f_net, g_net = shipped_nets
     ctrl = ControllerState.at_equilibrium(NeuralPlantModel(f_net, g_net), 1.1392,

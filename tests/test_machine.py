@@ -207,6 +207,19 @@ def test_advance_steps_through_the_module_attribute(ref_params, nominal_eq, monk
     assert steps == [2e-3 / machine.MICRO_STEPS] * machine.MICRO_STEPS
 
 
+def test_plant_state_stays_python_floats(ref_params, nominal_eq):
+    # the float kernel runs about three times slower on NumPy scalars
+    state, u_eq = nominal_eq
+    assert isinstance(state, np.ndarray)
+    x = machine.advance(state, u_eq, 2e-3, ref_params)
+    assert type(x) is tuple and len(x) == 7
+    assert [type(v) for v in x] == [float] * 7
+    stepped = [rk4_step(given, u_eq + 0.05, 5e-4, ref_params)
+               for given in (x, list(x), np.array(x))]
+    assert all(type(v) is float for v in stepped[0])
+    assert stepped[0] == stepped[1] == stepped[2]
+
+
 @pytest.mark.parametrize("dt", [5e-324, 0.0, -2e-3])
 def test_advance_rejects_a_period_without_positive_steps(ref_params, nominal_eq, dt):
     state, u_eq = nominal_eq
@@ -331,7 +344,7 @@ def test_rk4_requires_positive_dt(ref_params, nominal_eq):
 
 def integrate(state, u, h, t_total, params):
     for _ in range(int(round(t_total / h))):
-        state = rk4_step(state, u, h, params)
+        state = np.asarray(rk4_step(state, u, h, params))
     return state
 
 
@@ -350,11 +363,11 @@ def test_rk4_step_doubling(ref_params, nominal_eq):
     u = u_eq + 0.05
     single = rk4_step(state, u, 5e-4, ref_params)
     halved = rk4_step(rk4_step(state, u, 2.5e-4, ref_params), u, 2.5e-4, ref_params)
-    diff_h = np.max(np.abs(single - halved))
+    diff_h = np.max(np.abs(np.subtract(single, halved)))
     assert diff_h <= 2e-7
     single2 = rk4_step(state, u, 2.5e-4, ref_params)
     halved2 = rk4_step(rk4_step(state, u, 1.25e-4, ref_params), u, 1.25e-4, ref_params)
-    diff_h2 = np.max(np.abs(single2 - halved2))
+    diff_h2 = np.max(np.abs(np.subtract(single2, halved2)))
     assert diff_h / diff_h2 >= 12.0  # local error drops at least ~order 3.5
 
 
