@@ -43,7 +43,7 @@ def cmd_identify(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"invalid identify config {args.config}: {exc}") from exc
     u_series, y_series = identify.excite_and_record(params, plan, v_target)
-    write_table(args.out, ("k", "u", "y"), zip(range(len(u_series)), u_series, y_series))
+    write_table(args.out, ("k", "u", "y"), (range(len(u_series)), u_series, y_series))
     print(f"wrote {len(u_series)} samples to {args.out}")
     return EXIT_OK
 
@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"invalid train config {args.config}: {exc}") from exc
     networks.save_weights(args.out, f_net, g_net)
     hist_path = os.path.splitext(args.out)[0] + "_cost.csv"
-    write_table(hist_path, ("iteration", "cost"), enumerate(state.cost_history))
+    write_table(hist_path, ("iteration", "cost"), zip(*enumerate(state.cost_history)))
     print(f"trained on {len(train)} records for {state.iteration} iterations, "
           f"final cost {state.cost_history[-1]:.6e}")
     print(f"wrote weights to {args.out} and cost history to {hist_path}")
@@ -116,7 +116,7 @@ def cmd_validate(args) -> int:
     print(report)
     print(f"deadzone d0   = {identify.select_deadzone(report)}")
     if args.out:
-        write_table(args.out, ("k", "error"), enumerate(report.errors))
+        write_table(args.out, ("k", "error"), (range(len(report.errors)), report.errors))
     return EXIT_OK
 
 
@@ -137,7 +137,7 @@ def cmd_minphase(args) -> int:
         for z in model.zeros:
             rows.append((v_target, model.cb, z.real, z.imag))
     if args.out:
-        write_table(args.out, ("v_target", "cb", "zero_re", "zero_im"), rows)
+        write_table(args.out, ("v_target", "cb", "zero_re", "zero_im"), zip(*rows))
     return EXIT_OK
 
 
@@ -157,7 +157,7 @@ def cmd_compare(args) -> int:
     for name, (mx, rms) in stats.items():
         print(f"{name:>8} {mx:13.6g} {rms:13.6g}")
     if args.out:
-        write_table(args.out, ["t"] + [f"d_{n}" for n in diffs], zip(t, *diffs.values()))
+        write_table(args.out, ["t"] + [f"d_{n}" for n in diffs], (t, *diffs.values()))
     return EXIT_OK
 
 

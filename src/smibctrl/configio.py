@@ -154,12 +154,12 @@ def read_table(path, columns, kind: str) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, len(columns))
 
 
-def write_table(path, columns, rows) -> None:
-    """Write rows under the header `columns`, ints as integers and all other
-    values at full float precision; the file is replaced atomically."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
-                 for row in rows)
+def write_table(path, header, columns) -> None:
+    """Write columns of equal length under `header`, float columns at full
+    precision and integer ones as integers, each formatted from `.tolist()`
+    with no Python-level loop over values; the file is replaced atomically."""
+    cells = (map(repr if a.dtype.kind == "f" else str, a.tolist()) for a in map(np.asarray, columns))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

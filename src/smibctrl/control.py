@@ -33,6 +33,9 @@ class PolePlacement:
     coeffs: tuple          # (C_0, ..., C_{p-1})
     k1: float
 
+    def __post_init__(self):  # (C_{p-1}, ..., C_0), the array u_tilde dots with
+        object.__setattr__(self, "_c_desc", np.array(self.coeffs[::-1], dtype=float))
+
     @property
     def p(self) -> int:
         return len(self.coeffs)
@@ -72,11 +75,9 @@ def u_tilde(r: float, y_hist, placement: PolePlacement) -> float:
 
     y_hist is newest first and must hold at least p values.
     """
-    y_hist = np.asarray(y_hist, dtype=float)
     if len(y_hist) < placement.p:
         raise ValueError(f"need {placement.p} past outputs, have {len(y_hist)}")
-    c_desc = np.asarray(placement.coeffs[::-1])
-    return float(placement.k1 * r - c_desc @ y_hist[: placement.p])
+    return float(placement.k1 * r - placement._c_desc @ np.asarray(y_hist[:placement.p], float))
 
 
 def linearizing_control(f_hat: float, g_hat: float, u_til: float, g_min: float) -> float:
@@ -116,9 +117,9 @@ class ControllerState:
 
     The constants are the pole-placement target, the damping gain k_pss on
     the per-unit slip, the deadzone radius d0, the floor g_min on |g_hat|
-    and the adaptation switch.  Histories are newest-first; at_equilibrium
-    seeds them and sets the floor.  No adaptation happens on the first step
-    since no prediction exists yet.
+    and the adaptation switch.  Histories are newest-first float tuples;
+    at_equilibrium seeds them and sets the floor.  No adaptation happens
+    on the first step since no prediction exists yet.
     """
 
     model: object
@@ -127,14 +128,15 @@ class ControllerState:
     d0: float
     g_min: float
     adapt: bool
-    y_hist: np.ndarray
-    u_hist: np.ndarray
+    y_hist: tuple
+    u_hist: tuple
     last_prediction: float | None = None
     last_regressor: np.ndarray | None = None
     last_e_star: float = 0.0
     last_adapted: bool = False
 
     def __post_init__(self):
+        self.y_hist, self.u_hist = tuple(map(float, self.y_hist)), tuple(map(float, self.u_hist))
         if not 0.0 < self.g_min < math.inf:
             raise ValueError(f"g_min must be positive and finite, got {self.g_min}")
         if not self.d0 >= 0.0:
@@ -146,8 +148,8 @@ class ControllerState:
         """Histories at the output y_eq and zero input perturbation; the
         damping gain is nu * PSS_BASE_GAIN and the floor g_min a tenth of
         |g_hat| at that operating point, which must be finite."""
-        y_hist = np.full(max(placement.p, N_LAGS_Y), float(y_eq))
-        u_hist = np.zeros(N_LAGS_U)
+        y_hist = (float(y_eq),) * max(placement.p, N_LAGS_Y)
+        u_hist = (0.0,) * N_LAGS_U
         g_eq = model.g(make_regressor(y_hist, u_hist))
         if not math.isfinite(g_eq):
             raise FloatingPointError(f"g_hat = {g_eq} at the operating point is not finite")
@@ -178,16 +180,18 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
             ctrl.model.theta -= step * jac
             ctrl.last_adapted = True
 
-    ctrl.y_hist = np.concatenate(([y_meas], ctrl.y_hist[:-1]))
-    z = make_regressor(ctrl.y_hist, ctrl.u_hist)
+    ctrl.y_hist = (float(y_meas),) + ctrl.y_hist[:-1]
+    z = np.array(ctrl.y_hist[:N_LAGS_Y] + ctrl.u_hist)  # make_regressor's (13,) layout
     f_hat = ctrl.model.f(z)
     g_hat = ctrl.model.g(z)
+    if not math.isfinite(g_hat):  # the floor would pick its sign from a NaN
+        raise FloatingPointError(f"g_hat = {g_hat} is not finite")
     u_til = u_tilde(r, ctrl.y_hist, ctrl.placement)
-    u = linearizing_control(f_hat, g_hat, u_til, ctrl.g_min) + ctrl.k_pss * slip
+    u = float(linearizing_control(f_hat, g_hat, u_til, ctrl.g_min) + ctrl.k_pss * slip)
     if not math.isfinite(u):
         raise FloatingPointError("control input is not finite")
 
     ctrl.last_prediction = f_hat + g_hat * u
     ctrl.last_regressor = z
-    ctrl.u_hist = np.concatenate(([u], ctrl.u_hist[:-1]))
+    ctrl.u_hist = (u,) + ctrl.u_hist[:-1]
     return u, ctrl

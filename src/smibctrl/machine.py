@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -79,12 +79,8 @@ class MachineParams:
             raise ValueError(f"H must be positive and finite, got {self.H}")
         if not self.omega_b > 0.0:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
-        # the dataclass hash of the fields, computed once: every plant lookup hashes params
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-        _assembled(self)  # raises SingularInductanceError on a bad L
-
-    def __hash__(self):
-        return self._hash
+        # the compiled plant, which rk4_step and terminal_voltage read with no cache lookup
+        object.__setattr__(self, "_plant", _assembled(self))  # SingularInductanceError on a bad L
 
 
 def inductance_matrix(params: MachineParams) -> np.ndarray:
@@ -276,7 +272,7 @@ def _floats(x) -> tuple:
 
 
 def terminal_voltage(x, params: MachineParams) -> float:
-    _, v_d, v_q = _assembled(params).voltages(_floats(x))
+    _, v_d, v_q = params._plant.voltages(_floats(x))
     return math.hypot(v_d, v_q)
 
 
@@ -289,7 +285,7 @@ def rk4_step(x, u: float, dt: float, params: MachineParams) -> tuple:
     """One classical Runge-Kutta step holding u constant; the state as 7 floats."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return _assembled(params).step(_floats(x), float(u), dt)
+    return params._plant.step(_floats(x), float(u), dt)
 
 
 def advance(x, u: float, dt: float, params: MachineParams) -> tuple:

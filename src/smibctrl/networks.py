@@ -67,7 +67,7 @@ def mlp_forward(net: Mlp, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (REGRESSOR_LEN,):
         raise ValueError(f"regressor shape {z.shape} is not ({REGRESSOR_LEN},)")
-    return float(_forward_batch(net, z[None])[0])
+    return float(_forward_batch(net, z))
 
 
 def make_regressor(y_hist, u_hist) -> np.ndarray:

@@ -105,7 +105,7 @@ class Trace:
 
     def to_csv(self, path) -> None:
         floats = [getattr(self, c) for c in TRACE_COLUMNS[:-1]]
-        write_table(path, TRACE_COLUMNS, zip(*floats, map(int, self.adapted)))
+        write_table(path, TRACE_COLUMNS, (*floats, self.adapted.astype(int)))
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
@@ -235,7 +235,7 @@ def instants(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Simulate one scripted closed-loop experiment."""
     try:
-        table = np.empty((len(TRACE_COLUMNS), cfg.n_steps))
+        table = np.empty((cfg.n_steps, len(TRACE_COLUMNS)))
     except (MemoryError, ValueError) as exc:
         raise ScenarioError(f"a trace of {cfg.n_steps:.4g} instants ({cfg.t_end:g} s)"
                             " does not fit in memory") from exc
@@ -243,8 +243,8 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     # name, so its numpy warnings would only repeat that failure
     with np.errstate(over="ignore", invalid="ignore"):
         for k, row in enumerate(instants(cfg)):
-            table[:, k] = row
-    return Trace(*table)
+            table[k] = row  # one contiguous row per instant; the columns are views
+    return Trace(*table.T)
 
 
 class UndefinedMetricError(RuntimeError):

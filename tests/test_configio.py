@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smibctrl import cli, machine, networks, scenarios
-from smibctrl.configio import ConfigError, Key, parse_float, parse_str, read_config
+from smibctrl.configio import (ConfigError, Key, parse_float, parse_str, read_config,
+                               write_table)
 
 SCHEMA = {
     "name": Key(parse_str),
@@ -28,6 +30,19 @@ def test_read_config_fills_defaults_and_collects_repeats(tmp_path):
     path = tmp_path / "demo.cfg"
     path.write_text("name = a\npole = 0.5\npole = 0.6\n")
     assert read_config(path, "demo", SCHEMA) == {"name": "a", "gain": 1.0, "pole": [0.5, 0.6]}
+
+
+def test_write_table_formats_each_column_by_its_type(tmp_path):
+    # columns in, one row per index out: integer columns as integers, float
+    # columns (NumPy scalars included) at full float precision
+    path = tmp_path / "table.csv"
+    write_table(path, ("k", "x", "y", "n"), (range(3), [0.1, 1e-5, 2.0**60],
+                                             np.array([1.0, -0.0, 1 / 3]),
+                                             (np.int64(7), 0, -2)))
+    assert path.read_text() == ("k,x,y,n\n0,0.1,1.0,7\n1,1e-05,-0.0,0\n"
+                                "2,1.152921504606847e+18,0.3333333333333333,-2\n")
+    write_table(path, ("a", "b"), ())
+    assert path.read_text() == "a,b\n"
 
 
 # --- every reader either parses or raises ConfigError -----------------------

@@ -142,6 +142,48 @@ def test_floor_is_a_tenth_of_g_hat_at_the_operating_point(shipped_nets):
     assert flat.g_min == 1e-9
 
 
+@pytest.mark.parametrize("g_late", [np.nan, np.inf, -np.inf])
+def test_non_finite_g_hat_inside_the_loop_is_named(g_late):
+    # finite at the operating point, so the floor is set; the floor's sign test
+    # would otherwise turn a NaN into -g_min and an infinite g_hat into u = 0
+    g_values = iter([1.0])
+    model = SimpleNamespace(f=lambda z: 0.5, g=lambda z: next(g_values, g_late))
+    ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7]),
+                                          nu=0.0, d0=0.0, adapt=False)
+    with pytest.raises(FloatingPointError, match=r"g_hat = .* is not finite"):
+        control_step(ctrl, 1.1392, 1.1392, 0.0)
+
+
+def test_histories_stay_tuples_of_python_floats(shipped_nets):
+    # the newest-first shifts pay off only while the histories hold Python
+    # floats, whatever scalar type the plant hands in
+    ctrl = ControllerState.at_equilibrium(NeuralPlantModel(*shipped_nets), np.float64(1.1392),
+                                          placement=synthesize_poly([0.7] * 9),
+                                          nu=3.0, d0=1e-6, adapt=True)
+
+    def check():
+        assert type(ctrl.y_hist) is tuple and len(ctrl.y_hist) == 9
+        assert type(ctrl.u_hist) is tuple and len(ctrl.u_hist) == 6
+        assert all(type(v) is float for v in ctrl.y_hist + ctrl.u_hist)
+
+    check()
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        u_before = ctrl.u_hist
+        control_step(ctrl, 1.1392, np.float64(1.1392 + 1e-3 * rng.normal()),
+                     np.float64(1e-4 * rng.normal()))
+        check()
+        z = ctrl.last_regressor
+        assert type(z) is np.ndarray and z.shape == (13,) and z.dtype == np.float64
+        assert z.tobytes() == make_regressor(ctrl.y_hist, u_before).tobytes()
+    assert ctrl.last_adapted
+    # arrays given directly are converted, which the shifts would broadcast over
+    ctrl = ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
+                           g_min=1.0, adapt=False, y_hist=np.array(ctrl.y_hist),
+                           u_hist=np.zeros(6))
+    check()
+
+
 def adapting_step(ctrl, e_target):
     """One control_step whose prediction error is about e_target; returns the
     Jacobian the step adapts along, from the previous regressor and input."""

@@ -256,6 +256,20 @@ def test_equal_params_hash_equal_and_share_one_plant(ref_params, nominal_eq):
     assert machine._assembled.cache_info().currsize == 2
 
 
+def test_stepping_reads_the_plant_its_params_hold(ref_params, nominal_eq):
+    # rk4_step and terminal_voltage make no cache lookup, so equal but distinct
+    # params (a scenario before its event) never pay the 22-field __eq__
+    state, u_eq = nominal_eq
+    twin = MachineParams()
+    assert twin == ref_params and twin is not ref_params
+    before = machine._assembled.cache_info()
+    x = machine.advance(state, u_eq, 2e-3, twin)
+    machine.terminal_voltage(x, ref_params)
+    after = machine._assembled.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert x == machine.advance(state, u_eq, 2e-3, ref_params)
+
+
 def test_cached_hash_is_the_field_tuple_hash_and_not_a_field():
     p = MachineParams(P_m=1.2, speed_coupled_z=True)
     assert hash(p) == hash(dataclasses.astuple(p))

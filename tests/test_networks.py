@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl.networks import (Dataset, Mlp, _jacobian_batch, lm_train, load_weights,
-                               make_regressor, mlp_forward, mse_cost, predict_batch,
-                               save_weights, theta_flatten, theta_unflatten, weight_jacobian)
+from smibctrl.networks import (Dataset, Mlp, _forward_batch, _jacobian_batch, lm_train,
+                               load_weights, make_regressor, mlp_forward, mse_cost,
+                               predict_batch, save_weights, theta_flatten, theta_unflatten,
+                               weight_jacobian)
 
 from conftest import predict_one
 
@@ -39,6 +40,17 @@ def test_forward_single_neuron_tanh():
     z[0] = 1.0
     assert mlp_forward(net, z) == pytest.approx(2.0 * math.tanh(1.0) + 0.5, abs=1e-12)
     assert mlp_forward(net, z) == pytest.approx(2.023188, abs=1e-6)
+
+
+def test_forward_of_one_row_matches_the_batch_of_one(shipped_nets):
+    # mlp_forward hands the 1-D regressor to the batch kernel; the matrix-vector
+    # product may round apart from the one-row matrix product, by an ulp at most
+    rng = np.random.default_rng(27)
+    Z = 1.1392 + rng.normal(size=(10_000, 13)) * rng.uniform(0.01, 2.0, size=(10_000, 1))
+    for net in (*shipped_nets, random_net(p=9, seed=3)):
+        single = np.array([mlp_forward(net, z) for z in Z])
+        batch_of_one = np.array([_forward_batch(net, z[None])[0] for z in Z])
+        np.testing.assert_array_max_ulp(single, batch_of_one, maxulp=1)
 
 
 def test_forward_dimension_mismatch():
