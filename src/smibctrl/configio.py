@@ -72,8 +72,8 @@ def read_config(path, kind: str, schema: dict, error=ConfigError) -> dict:
 
 
 def fields_schema(cls) -> dict:
-    """Schema of a dataclass's float/int/bool fields, with their defaults."""
-    parsers = {"float": parse_float, "int": parse_int, "bool": parse_bool}
+    """Schema of a dataclass's float/int fields, with their defaults."""
+    parsers = {"float": parse_float, "int": parse_int}
     return {f.name: Key(parsers[f.type], f.default) for f in fields(cls)}
 
 
@@ -111,15 +111,6 @@ def parse_int(key, value) -> int:
         return int(value)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not an integer: {value!r}") from exc
-
-
-def parse_bool(key, value) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: not a boolean: {value!r}")
 
 
 def resolve_path(base_file, value) -> str:

@@ -116,8 +116,9 @@ class ControllerState:
     """One adaptive loop: its fixed constants, the model and the histories.
 
     The constants are the pole-placement target, the damping gain k_pss on
-    the per-unit slip, the deadzone radius d0, the floor g_min on |g_hat|
-    and the adaptation switch.  Histories are newest-first float tuples;
+    the per-unit slip, the deadzone radius d0 and the floor g_min on
+    |g_hat|.  Only a prediction error beyond d0 adapts the weights, so
+    d0 = math.inf freezes them.  Histories are newest-first float tuples;
     at_equilibrium seeds them and sets the floor.  No adaptation happens
     on the first step since no prediction exists yet.
     """
@@ -127,7 +128,6 @@ class ControllerState:
     k_pss: float
     d0: float
     g_min: float
-    adapt: bool
     y_hist: tuple
     u_hist: tuple
     last_prediction: float | None = None
@@ -144,7 +144,7 @@ class ControllerState:
 
     @classmethod
     def at_equilibrium(cls, model, y_eq: float, *, placement: PolePlacement, nu: float,
-                       d0: float, adapt: bool):
+                       d0: float):
         """Histories at the output y_eq and zero input perturbation; the
         damping gain is nu * PSS_BASE_GAIN and the floor g_min a tenth of
         |g_hat| at that operating point, which must be finite."""
@@ -154,7 +154,7 @@ class ControllerState:
         if not math.isfinite(g_eq):
             raise FloatingPointError(f"g_hat = {g_eq} at the operating point is not finite")
         return cls(model=model, placement=placement, k_pss=nu * PSS_BASE_GAIN, d0=d0,
-                   g_min=max(0.1 * abs(g_eq), 1e-9), adapt=adapt, y_hist=y_hist, u_hist=u_hist)
+                   g_min=max(0.1 * abs(g_eq), 1e-9), y_hist=y_hist, u_hist=u_hist)
 
 
 def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
@@ -172,7 +172,7 @@ def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
     if ctrl.last_prediction is not None:
         e_star = ctrl.last_prediction - y_meas
         ctrl.last_e_star = float(e_star)
-        if ctrl.adapt and abs(e_star) > ctrl.d0:
+        if abs(e_star) > ctrl.d0:
             # Normalized-gradient step on the error shrunk toward zero by d0.
             # theta has not moved since the prediction, and u(k-1) is u_hist[0].
             jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])

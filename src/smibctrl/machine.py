@@ -72,14 +72,13 @@ class MachineParams:
     B: float = 0.0                   # bus interface constant
     v_inf: float = 1.0               # infinite-bus voltage, pu
     P_m: float = 1.6512              # mechanical power input, pu
-    speed_coupled_z: bool = False    # instantaneous speed in the speed-voltage terms
 
     def __post_init__(self):
         if not 0.0 < self.H < math.inf:
             raise ValueError(f"H must be positive and finite, got {self.H}")
         if not self.omega_b > 0.0:
             raise ValueError(f"omega_b must be positive, got {self.omega_b}")
-        # the compiled plant, which rk4_step and terminal_voltage read with no cache lookup
+        # the compiled plant, which the stepping and equilibrium functions read with no lookup
         object.__setattr__(self, "_plant", _assembled(self))  # SingularInductanceError on a bad L
 
 
@@ -153,7 +152,7 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
     None) as nested lists."""
     w_b, w_2h = float(p.omega_b), p.omega_b / (2.0 * p.H)
     P_m, D, r11, x11 = float(p.P_m), float(p.D), float(p.r11), float(p.x11)
-    v_inf, A, B, coupled = p.v_inf, p.A, p.B, p.speed_coupled_z
+    v_inf, A, B = p.v_inf, p.A, p.B
     r0, r1, r2, r3, r4 = r_diag
     ((m00, _, m02, m03, _), (_, m11, _, _, m14), (m20, _, m22, m23, _),
      (m30, _, m32, m33, _), (_, m41, _, _, m44)) = L_inv
@@ -204,12 +203,11 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
         sin_d, cos_d = sin(delta), cos(delta)
         v_d = r11 * i0 - x11 * i1 + v_inf * (A * sin_d + B * cos_d)
         v_q = r11 * i1 + x11 * i0 - v_inf * (B * sin_d - A * cos_d)
-        s = 1.0 + omega / w_b if coupled else 1.0
         P_e = lam_d * i1 - lam_q * i0
         return (omega,
                 w_2h * (P_m - P_e - D * omega),
-                (r0 * i0 + (s * lam_q + v_d)) * w_b,
-                (r1 * i1 + (-s * lam_d + v_q)) * w_b,
+                (r0 * i0 + (lam_q + v_d)) * w_b,
+                (r1 * i1 + (-lam_d + v_q)) * w_b,
                 (r2 * i2 + u) * w_b,
                 r3 * i3 * w_b,
                 r4 * i4 * w_b)
@@ -278,7 +276,7 @@ def terminal_voltage(x, params: MachineParams) -> float:
 
 def derivatives(x, u: float, params: MachineParams) -> np.ndarray:
     """State rate dx/dt at the given field voltage."""
-    return np.array(_assembled(params).rates(_floats(x), u))
+    return np.array(params._plant.rates(_floats(x), u))
 
 
 def rk4_step(x, u: float, dt: float, params: MachineParams) -> tuple:
@@ -305,7 +303,7 @@ def _coarse_equilibrium(params: MachineParams, v_target: float):
     the field voltage and the steady fluxes, so the bisected point is the
     equilibrium itself.
     """
-    steady = _assembled(params).steady
+    steady = params._plant.steady
     if steady is None:
         raise EquilibriumError("the steady-flux matrix K = (R + M) L^-1 + Z is singular "
                                "or not finite: no operating point")

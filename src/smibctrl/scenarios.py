@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import machine
-from .configio import (ConfigError, Key, parse_bool, parse_float, parse_int,
-                       parse_str, read_config, read_table, resolve_path,
-                       write_table)
+from .configio import (ConfigError, Key, parse_float, parse_int, parse_str,
+                       read_config, read_table, resolve_path, write_table)
 from .control import (MAX_ORDER, ControllerState, NeuralPlantModel, PolePlacement,
                       control_step, synthesize_poly)
 from .networks import load_weights
@@ -47,7 +46,6 @@ class ControllerConfig:
     placement: PolePlacement
     nu: float
     d0: float
-    adapt: bool
     weights_path: str | None
 
 
@@ -126,7 +124,6 @@ def load_controller_config(path) -> ControllerConfig:
         "pole": Key(parse_float, (), repeat=True),
         "nu": Key(parse_float, 3.0),
         "d0": Key(parse_float, 0.01),
-        "adapt": Key(parse_bool, True),
     })
     kind, p, poles = values["controller"], values["p"], tuple(values["pole"])
     if kind not in ("neural", "st1a", "none"):
@@ -151,7 +148,7 @@ def load_controller_config(path) -> ControllerConfig:
     if weights is not None:
         weights = resolve_path(path, weights)
     return ControllerConfig(kind=kind, placement=placement, nu=values["nu"], d0=values["d0"],
-                            adapt=values["adapt"], weights_path=weights)
+                            weights_path=weights)
 
 
 def _parse_event(key, raw) -> Event:
@@ -195,9 +192,8 @@ def _control_law(ctrl_cfg: ControllerConfig, y_eq: float):
         return lambda v_ref, v_t, slip: (0.0, 0.0, 0.0)
     f_net, g_net = load_weights(ctrl_cfg.weights_path)
     model = NeuralPlantModel(f_net, g_net)
-    state = ControllerState.at_equilibrium(
-        model, y_eq, placement=ctrl_cfg.placement, nu=ctrl_cfg.nu, d0=ctrl_cfg.d0,
-        adapt=ctrl_cfg.adapt)
+    state = ControllerState.at_equilibrium(model, y_eq, placement=ctrl_cfg.placement,
+                                           nu=ctrl_cfg.nu, d0=ctrl_cfg.d0)
 
     def neural(v_ref, v_t, slip):
         u_pert, _ = control_step(state, v_ref, v_t, slip)  # a tracer may wrap this name

@@ -100,7 +100,7 @@ def test_criterion_04_deadzone_halts_adaptation(shipped_nets):
     model = NeuralPlantModel(f_net, g_net)
     d0 = 0.01
     ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7] * 7),
-                                          nu=0.0, d0=d0, adapt=True)
+                                          nu=0.0, d0=d0)
     control_step(ctrl, 1.1392, 1.1392, 0.0)
     theta0 = ctrl.model.theta.copy()
     for _ in range(1000):

@@ -230,7 +230,7 @@ NUMERICAL_FAILURES = {
     "neural p 4 nu 0 slips": lambda tmp: _simulate(tmp, "t_end = 1.0\n", _controller(
         tmp, "p = 4\npole = 0.7\nnu = 0\nd0 = 1e-4\n")),
     "default controller nu 0 slips": lambda tmp: _simulate(tmp, "t_end = 0.2\n", _controller(
-        tmp, "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\nadapt = true\n")),
+        tmp, "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\n")),
     "machine x11 1e308": lambda tmp: _minphase(tmp, "x11 = 1e308\n"),
     "machine D 1e308": lambda tmp: _minphase(tmp, "D = 1e308\n"),
     # r_f = 0 leaves L regular but the steady-flux matrix singular
@@ -443,6 +443,20 @@ def test_identify_hold_longer_than_the_record_is_one_level(tmp_path, hold):
 def test_bad_input_exits_2(tmp_path, capsys, case):
     assert cli_dispatch(BAD_INPUTS[case](tmp_path)) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "adapt"), ("minphase", "speed_coupled_z")])
+def test_retired_switch_is_a_config_error_naming_it(tmp_path, capsys, command, key):
+    # neither switch exists: the deadzone gates adaptation, and the stator has one coupling
+    if command == "simulate":
+        weights = config_path("narx_ref.nwt")
+        argv = _simulate_with_controller(
+            tmp_path, f"controller = neural\nweights = {weights}\nadapt = false\n")
+    else:
+        argv = _minphase(tmp_path, "speed_coupled_z = true\n")
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and len(err.splitlines()) == 1
 
 
 FUZZ_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "5e-324",

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,21 +87,21 @@ def test_linearizing_control_finite(f_hat, u_til, g_hat):
 
 
 def test_pss_gain_value():
-    ctrl_a = make_controller(adapt=False, nu=3.0)
-    ctrl_b = make_controller(adapt=False, nu=3.0)
+    ctrl_a = make_controller(nu=3.0, d0=math.inf)
+    ctrl_b = make_controller(nu=3.0, d0=math.inf)
     assert ctrl_a.k_pss == pytest.approx(2.1273, abs=1e-12)
     u_a, _ = control_step(ctrl_a, 1.0, 1.0, 0.1)
     u_b, _ = control_step(ctrl_b, 1.0, 1.0, 0.0)
     assert u_a - u_b == pytest.approx(0.21273, abs=1e-12)
-    plain, _ = control_step(make_controller(adapt=False, nu=0.0), 1.0, 1.0, 0.0)
+    plain, _ = control_step(make_controller(nu=0.0, d0=math.inf), 1.0, 1.0, 0.0)
     assert u_b == plain
 
 
-def make_controller(adapt=True, seed=0, nu=0.0, d0=1e-6):
+def make_controller(seed=0, nu=0.0, d0=1e-6):
     rng = np.random.default_rng(seed)
     model = NeuralPlantModel(Mlp.random(5, rng=rng), Mlp.random(5, rng=rng))
     return ControllerState.at_equilibrium(model, 1.0, placement=synthesize_poly([0.7]),
-                                          nu=nu, d0=d0, adapt=adapt)
+                                          nu=nu, d0=d0)
 
 
 def test_controller_state_rejects_bad_constants():
@@ -109,7 +110,7 @@ def test_controller_state_rejects_bad_constants():
     ctrl = make_controller()
     with pytest.raises(ValueError):
         ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
-                        g_min=0.0, adapt=True, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
+                        g_min=0.0, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
 
 
 @pytest.mark.parametrize("g_min", [np.inf, np.nan])
@@ -117,28 +118,27 @@ def test_controller_state_rejects_a_floor_that_is_not_finite(g_min):
     ctrl = make_controller()
     with pytest.raises(ValueError, match="g_min must be positive and finite"):
         ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
-                        g_min=g_min, adapt=True, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
+                        g_min=g_min, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
 
 
 @pytest.mark.parametrize("g_eq", [np.inf, -np.inf, np.nan])
 def test_non_finite_g_hat_at_the_operating_point_is_named(g_eq):
     with pytest.raises(FloatingPointError, match="at the operating point is not finite"):
         ControllerState.at_equilibrium(SimpleNamespace(g=lambda z: g_eq), 1.1392,
-                                       placement=synthesize_poly([]), nu=0.0, d0=0.0,
-                                       adapt=False)
+                                       placement=synthesize_poly([]), nu=0.0, d0=math.inf)
 
 
 def test_floor_is_a_tenth_of_g_hat_at_the_operating_point(shipped_nets):
     f_net, g_net = shipped_nets
     ctrl = ControllerState.at_equilibrium(NeuralPlantModel(f_net, g_net), 1.1392,
                                           placement=synthesize_poly([0.7] * 7),
-                                          nu=3.0, d0=0.01, adapt=True)
+                                          nu=3.0, d0=0.01)
     z_eq = make_regressor(np.full(7, 1.1392), np.zeros(6))
     assert ctrl.g_min == max(0.1 * abs(mlp_forward(g_net, z_eq)), 1e-9)
     assert ctrl.g_min > 1e-9
     flat = ControllerState.at_equilibrium(SimpleNamespace(g=lambda z: 0.0), 1.1392,
                                           placement=synthesize_poly([]),
-                                          nu=0.0, d0=0.0, adapt=False)
+                                          nu=0.0, d0=math.inf)
     assert flat.g_min == 1e-9
 
 
@@ -149,7 +149,7 @@ def test_non_finite_g_hat_inside_the_loop_is_named(g_late):
     g_values = iter([1.0])
     model = SimpleNamespace(f=lambda z: 0.5, g=lambda z: next(g_values, g_late))
     ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7]),
-                                          nu=0.0, d0=0.0, adapt=False)
+                                          nu=0.0, d0=math.inf)
     with pytest.raises(FloatingPointError, match=r"g_hat = .* is not finite"):
         control_step(ctrl, 1.1392, 1.1392, 0.0)
 
@@ -159,7 +159,7 @@ def test_histories_stay_tuples_of_python_floats(shipped_nets):
     # floats, whatever scalar type the plant hands in
     ctrl = ControllerState.at_equilibrium(NeuralPlantModel(*shipped_nets), np.float64(1.1392),
                                           placement=synthesize_poly([0.7] * 9),
-                                          nu=3.0, d0=1e-6, adapt=True)
+                                          nu=3.0, d0=1e-6)
 
     def check():
         assert type(ctrl.y_hist) is tuple and len(ctrl.y_hist) == 9
@@ -178,8 +178,8 @@ def test_histories_stay_tuples_of_python_floats(shipped_nets):
         assert z.tobytes() == make_regressor(ctrl.y_hist, u_before).tobytes()
     assert ctrl.last_adapted
     # arrays given directly are converted, which the shifts would broadcast over
-    ctrl = ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
-                           g_min=1.0, adapt=False, y_hist=np.array(ctrl.y_hist),
+    ctrl = ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=math.inf,
+                           g_min=1.0, y_hist=np.array(ctrl.y_hist),
                            u_hist=np.zeros(6))
     check()
 
@@ -194,7 +194,7 @@ def adapting_step(ctrl, e_target):
 
 @pytest.mark.parametrize("e_target", [0.3, -0.3, 2.5e-3, -4.0])
 def test_adapting_step_is_the_normalized_deadzone_gradient(e_target):
-    ctrl = make_controller(adapt=True, seed=5, d0=1e-3)
+    ctrl = make_controller(seed=5, d0=1e-3)
     control_step(ctrl, 1.0, 1.0, 0.0)
     theta0 = ctrl.model.theta.copy()
     jac = adapting_step(ctrl, e_target)
@@ -207,7 +207,7 @@ def test_adapting_step_is_the_normalized_deadzone_gradient(e_target):
 @given(st.floats(-2, 2), st.floats(0, 0.1), st.integers(0, 100))
 @settings(max_examples=60, deadline=None)
 def test_adapting_step_is_at_most_half_the_shrunk_error(e_target, d0, seed):
-    ctrl = make_controller(adapt=True, seed=seed, d0=d0)
+    ctrl = make_controller(seed=seed, d0=d0)
     control_step(ctrl, 1.0, 1.0, 0.0)
     theta0 = ctrl.model.theta.copy()
     jac = adapting_step(ctrl, e_target)
@@ -220,12 +220,12 @@ def test_adapting_step_is_at_most_half_the_shrunk_error(e_target, d0, seed):
 
 
 def test_error_on_the_band_edge_leaves_theta_bitwise_unchanged():
-    probe = make_controller(adapt=True, seed=2)
+    probe = make_controller(seed=2)
     control_step(probe, 1.0, 1.0, 0.0)
     prediction = probe.last_prediction
     for y_meas in (prediction - 0.01, prediction + 0.01):
         # d0 is exactly |e|, so e = +d0 or -d0
-        ctrl = make_controller(adapt=True, seed=2, d0=abs(prediction - y_meas))
+        ctrl = make_controller(seed=2, d0=abs(prediction - y_meas))
         control_step(ctrl, 1.0, 1.0, 0.0)
         theta0 = ctrl.model.theta.copy()
         control_step(ctrl, 1.0, y_meas, 0.0)
@@ -235,16 +235,21 @@ def test_error_on_the_band_edge_leaves_theta_bitwise_unchanged():
 
 
 def test_control_step_no_adaptation_keeps_theta():
-    ctrl = make_controller(adapt=False)
-    theta0 = ctrl.model.theta.copy()
+    # d0 = inf freezes the weights; the prediction error is still recorded
+    ctrl = make_controller(d0=math.inf)
+    theta0 = ctrl.model.theta.tobytes()
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        control_step(ctrl, 1.0, 1.0 + rng.normal() * 0.1, 0.0)
-    assert np.array_equal(ctrl.model.theta, theta0)
+    for k in range(300):
+        prediction, y_meas = ctrl.last_prediction, 1.0 + rng.normal() * 0.1
+        control_step(ctrl, 1.0, y_meas, 0.0)
+        assert not ctrl.last_adapted
+        assert ctrl.last_e_star == (0.0 if k == 0 else prediction - y_meas)
+    assert ctrl.model.theta.tobytes() == theta0
+    assert ctrl.last_e_star != 0.0
 
 
 def test_control_step_first_step_never_adapts():
-    ctrl = make_controller(adapt=True, d0=1e-9)
+    ctrl = make_controller(d0=1e-9)
     theta0 = ctrl.model.theta.copy()
     control_step(ctrl, 1.0, 55.0, 0.0)
     assert np.array_equal(ctrl.model.theta, theta0)
@@ -253,7 +258,7 @@ def test_control_step_first_step_never_adapts():
 
 
 def test_control_step_adapts_on_large_error():
-    ctrl = make_controller(adapt=True)
+    ctrl = make_controller()
     control_step(ctrl, 1.0, 1.0, 0.0)
     theta0 = ctrl.model.theta.copy()
     control_step(ctrl, 1.0, 5.0, 0.0)  # big surprise
@@ -266,7 +271,7 @@ def test_adaptation_writes_theta_in_place(shipped_nets):
     given_theta = theta_flatten(f_net, g_net)
     model = NeuralPlantModel(f_net, g_net)
     ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7] * 7),
-                                          nu=0.0, d0=1e-6, adapt=True)
+                                          nu=0.0, d0=1e-6)
     rng = np.random.default_rng(8)
     adapted = 0
     for _ in range(50):
@@ -286,8 +291,8 @@ def test_neural_model_rejects_unequal_hidden_sizes():
 
 
 def test_pss_zero_reduces_to_plain_linearizing_loop():
-    ctrl_a = make_controller(adapt=False, seed=9, nu=0.0, d0=0.01)
-    ctrl_b = make_controller(adapt=False, seed=9, nu=3.0, d0=0.01)
+    ctrl_a = make_controller(seed=9, nu=0.0, d0=math.inf)
+    ctrl_b = make_controller(seed=9, nu=3.0, d0=math.inf)
     rng = np.random.default_rng(4)
     for _ in range(30):
         y = 1.0 + 0.05 * rng.normal()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -40,7 +41,7 @@ def reference_series(n=500):
 
 def oracle_controller(placement, f, g):
     return ControllerState.at_equilibrium(SimpleNamespace(f=f, g=g), 0.0, placement=placement,
-                                          nu=0.0, d0=0.0, adapt=False)
+                                          nu=0.0, d0=math.inf)
 
 
 def run_oracle_loop(placement, f, g, r_series, ctrl=None):
@@ -264,7 +265,7 @@ def test_controller_config_parsing():
     cfg = load_controller_config(config_path("ctrl_neural_track.cfg"))
     assert cfg.kind == "neural"
     assert cfg.placement == synthesize_poly((0.7,))
-    assert cfg.nu == 0.0 and cfg.d0 == 1e-4 and cfg.adapt
+    assert cfg.nu == 0.0 and cfg.d0 == 1e-4
     default = load_controller_config(config_path("ctrl_neural_default.cfg"))
     assert default.placement.p == 7 and default.placement == synthesize_poly((0.7,) * 7)
 
@@ -352,7 +353,7 @@ def test_instants_stream_is_the_trace_and_calls_control_step_once_per_row(monkey
 def test_slipped_pole_raises_synchronism_lost(tmp_path):
     ctrl = tmp_path / "c.cfg"  # ctrl_neural_default.cfg with nu = 0
     ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
-                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\nadapt = true\n")
+                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\n")
     scen = tmp_path / "s.cfg"
     scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
                     "t_end = 0.2\n")
@@ -380,6 +381,27 @@ def test_big_swing_completes_and_returns():
     assert np.all(np.isfinite(trace.v_t))
     assert abs(trace.v_t[trace.at_time(2.5)] - 2.0) <= 0.01
     assert abs(trace.v_t[-1] - 1.1392) <= 0.005
+
+
+def test_deadzone_above_every_error_freezes_a_shipped_scenario(tmp_path):
+    # the deadzone alone gates adaptation: raising d0 past every prediction
+    # error runs the shipped tracking study on frozen weights
+    shipped = Trace.from_csv(os.path.join(REPO, "results", "step_nominal_neural.csv"))
+    assert shipped.adapted.any()
+    with open(config_path("ctrl_neural_track.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    frozen = text.replace("d0 = 0.0001\n", "d0 = 1e9\n").replace(
+        "weights = narx_ref.nwt\n", f"weights = {config_path('narx_ref.nwt')}\n")
+    assert frozen.count("1e9") == 1 and frozen.count(config_path("narx_ref.nwt")) == 1
+    ctrl = tmp_path / "c.cfg"
+    ctrl.write_text(frozen)
+    cfg = replace(parse_scenario(config_path("scen_step_nominal_neural.cfg")),
+                  controller_path=str(ctrl))
+    out = tmp_path / "t.csv"
+    run_scenario(cfg).to_csv(out)
+    trace = Trace.from_csv(out)
+    assert len(trace) == len(shipped)
+    assert np.all(trace.adapted == 0.0) and np.any(trace.e_star != 0.0)
 
 
 def test_compare_traces_alignment():
