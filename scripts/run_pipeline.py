@@ -9,16 +9,17 @@ after the reference steps, the damping metric with and without the
 stabilizer, the recovery errors after the inertia drift and the mechanical
 power drop, and the big-swing errors.
 
-Then it trains the two-network model into a temporary directory, validates
-the retrained weights on the held-out halves, and prints their largest weight
-difference from configs/narx_ref.nwt against the 1e-7 weight gate; the
-script exits 1 above it.  The committed weights and cost history are never
-overwritten: the retrained weights land about 2e-8 from them (2.2e-8 with one
-BLAS thread), because the committed file was trained on datasets recorded
-with LU solves, which differ from today's by up to 2.1e-10, and with J'e
-summed in another order.  That is inside the weight gate, but the retrained
-weights would move the closed-loop traces by up to 1.8e-8, over their 1e-10
-gate, so commit the regenerated datasets and traces only.
+Then it trains the two-network model into a temporary directory, scores the
+retrained weights on the holdout that train_ref.cfg keeps out of training,
+and prints their largest weight difference from configs/narx_ref.nwt against
+the 1e-7 weight gate; the script exits 1 above it.  The committed weights
+and cost history are never overwritten: the retrained weights land about
+2e-8 from them (2.2e-8 with one BLAS thread), because the committed file was
+trained on datasets recorded with LU solves, which differ from today's by up
+to 2.1e-10, and with J'e summed in another order.  That is inside the
+weight gate, but the retrained weights would move the closed-loop traces by
+up to 1.8e-8, over their 1e-10 gate, so commit the regenerated datasets and
+traces only.
 """
 
 import os
@@ -57,21 +58,6 @@ def run(*argv):
         raise SystemExit(code)
 
 
-def validate_config(path, weights):
-    """validate_ref.cfg written to path, with absolute dataset paths and the given weights."""
-    lines = []
-    with open("validate_ref.cfg", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key == "dataset":
-                line = f"dataset = {os.path.abspath(value)}\n"
-            elif key == "weights":
-                line = f"weights = {weights}\n"
-            lines.append(line)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
 def main():
     os.chdir(os.path.join(ROOT, "configs"))
     run("identify", "--config", "identify_ref.cfg", "--out", "dataset_ref.csv")
@@ -107,9 +93,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         weights = os.path.join(tmp, "narx_ref.nwt")
         run("train", "--config", "train_ref.cfg", "--out", weights)
-        validate = os.path.join(tmp, "validate.cfg")
-        validate_config(validate, weights)
-        run("validate", "--config", validate)
+        run("validate", "--config", "train_ref.cfg", "--weights", weights)
         gap = np.max(np.abs(theta_flatten(*load_weights(weights))
                             - theta_flatten(*load_weights("narx_ref.nwt"))))
     verdict = "within" if gap <= WEIGHT_GATE else "OVER"

@@ -70,8 +70,10 @@ def _split_datasets(series, train_fraction):
     return merge(trains), merge(holds)
 
 
-def cmd_train(args) -> int:
-    values = read_config(args.config, "train", {
+def _read_training_config(path):
+    """A train config's values and its training and holdout records: `validate`
+    reads it too, so it scores weights on the records their training kept out."""
+    values = read_config(path, "train", {
         "dataset": Key(parse_str, repeat=True),
         "hidden": Key(parse_int, 5),
         "max_iter": Key(parse_int, 150),
@@ -79,11 +81,18 @@ def cmd_train(args) -> int:
         "train_fraction": Key(parse_float, 0.5),
         "seed": Key(parse_int, 0),
     })
-    series = _load_datasets(args.config, values)
+    try:
+        train, holdout = _split_datasets(_load_datasets(path, values), values["train_fraction"])
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"invalid train config {path}: {exc}") from exc
+    return values, train, holdout
+
+
+def cmd_train(args) -> int:
+    values, train, _ = _read_training_config(args.config)
     # lm_train reports solver failures as TrainingError, bad arguments as ValueError;
     # a network too big to allocate is a config error too.
     try:
-        train, _ = _split_datasets(series, values["train_fraction"])
         rng = np.random.default_rng(args.seed if args.seed is not None else values["seed"])
         f0 = networks.Mlp.random(values["hidden"], rng=rng)
         g0 = networks.Mlp.random(values["hidden"], rng=rng)
@@ -101,17 +110,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    values = read_config(args.config, "validate", {
-        "dataset": Key(parse_str, repeat=True),
-        "weights": Key(parse_str),
-        "train_fraction": Key(parse_float, 0.5),
-    })
-    series = _load_datasets(args.config, values)
-    try:
-        _, holdout = _split_datasets(series, values["train_fraction"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid validate config {args.config}: {exc}") from exc
-    f_net, g_net = networks.load_weights(resolve_path(args.config, values["weights"]))
+    _, _, holdout = _read_training_config(args.config)
+    f_net, g_net = networks.load_weights(args.weights)
     report = identify.cross_validate(f_net, g_net, holdout)
     print(report)
     print(f"deadzone d0   = {identify.select_deadzone(report)}")
@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                    add("train", cmd_train, "fit the two-network model to recorded datasets",
                        needs_out=True)):
         seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
-    add("validate", cmd_validate, "cross-validate a weight file on held-out data")
+    scored = add("validate", cmd_validate, "score weights on the holdout of their train config")
+    scored.add_argument("--weights", required=True, help="weight file to score")
     add("minphase", cmd_minphase, "tabulate transmission zeros over operating points")
     add("simulate", cmd_simulate, "run a scripted closed-loop scenario", needs_out=True)
     comp = sub.add_parser("compare", help="diff two trace files on their common grid")

@@ -2,8 +2,8 @@
 
 Config files hold one `key = value` per line, `#` starts a comment and
 blank lines are ignored; each reader declares its keys as a schema of
-`Key` entries for `read_config`.  Data files (datasets, traces, reports)
-are CSV tables of numbers under a fixed header.
+`Key` entries for `read_config`.  Data files (datasets, traces, reports,
+weights) are CSV tables of numbers under a fixed header.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configio import ConfigError
+from .configio import ConfigError, write_table
 
 N_LAGS_Y = 7
 N_LAGS_U = 6
@@ -262,10 +262,8 @@ def save_weights(path, f_net: Mlp, g_net: Mlp) -> None:
     """Plain-text weight file: header then one value per line in flat order."""
     if f_net.n_hidden != g_net.n_hidden:
         raise ValueError("weight file format requires equally sized networks")
-    lines = [f"{WEIGHT_FORMAT} p={f_net.n_hidden} in={REGRESSOR_LEN}"]
-    lines.extend(repr(float(v)) for v in theta_flatten(f_net, g_net))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, (f"{WEIGHT_FORMAT} p={f_net.n_hidden} in={REGRESSOR_LEN}",),
+                (theta_flatten(f_net, g_net),))
 
 
 def load_weights(path):

@@ -211,6 +211,7 @@ def instants(cfg: ScenarioConfig):
     law = _control_law(ctrl_cfg, machine.terminal_voltage(x, params))
     pending = sorted(cfg.events, key=lambda e: e.time)
     v_ref = cfg.v_ref
+    last = cfg.n_steps - 1
     for k in range(cfg.n_steps):
         t = k * cfg.dt_control
         while pending and pending[0].time <= t + EVENT_TIME_TOL:
@@ -219,6 +220,8 @@ def instants(cfg: ScenarioConfig):
         u_pert, e_star, adapted = law(v_ref, v_t, x[1] / params.omega_b)
         u = u_eq + u_pert
         yield t, v_ref, v_t, u, x[0], x[1], e_star, adapted
+        if k == last:  # nothing reads the state after the last instant
+            return
         try:
             x = machine.advance(x, u, cfg.dt_control, params)
         except machine.DivergenceError as exc:

@@ -13,6 +13,19 @@ def config_path(name: str) -> str:
     return os.path.join(CONFIGS, name)
 
 
+def fail_advance_on_call(monkeypatch, n):
+    """Make the n-th call of machine.advance raise DivergenceError."""
+    real, calls = machine.advance, [0]
+
+    def advance(*args):
+        calls[0] += 1
+        if calls[0] == n:
+            raise machine.DivergenceError("injected divergence")
+        return real(*args)
+
+    monkeypatch.setattr(machine, "advance", advance)
+
+
 def predict_one(f_net, g_net, z, u: float) -> float:
     """One-step NARX prediction through the batch path on a one-row batch."""
     return float(predict_batch(f_net, g_net, np.asarray(z, dtype=float)[None],

@@ -52,13 +52,43 @@ def test_identify_then_train_then_validate(tmp_path, capsys):
     assert weights.exists()
     assert (tmp_path / "w_cost.csv").exists()
 
-    val = tmp_path / "val.cfg"
-    val.write_text(f"dataset = {data}\nweights = {weights}\n")
     err_csv = tmp_path / "errors.csv"
-    assert cli_dispatch(["validate", "--config", str(val), "--out", str(err_csv)]) == 0
+    assert cli_dispatch(["validate", "--config", str(train), "--weights", str(weights),
+                         "--out", str(err_csv)]) == 0
     out = capsys.readouterr().out
     assert "relative err" in out and "deadzone" in out
     assert err_csv.read_text().splitlines()[0] == "k,error"
+
+
+def test_validate_scores_the_holdout_its_train_config_keeps_out(tmp_path, capsys):
+    weights = config_path("narx_ref.nwt")
+    series = [cli._read_dataset_csv(config_path("dataset_dither.csv"))]
+    for fraction in (0.5, 0.7):
+        argv = _validate_on(tmp_path, f"train_fraction = {fraction}\n")
+        assert cli_dispatch(argv + ["--out", str(tmp_path / "e.csv")]) == 0
+        _, holdout = cli._split_datasets(series, fraction)
+        expected = identify.cross_validate(*networks.load_weights(weights), holdout)
+        assert str(expected) in capsys.readouterr().out
+        errors = np.loadtxt(tmp_path / "e.csv", delimiter=",", skiprows=1, usecols=1)
+        assert np.array_equal(errors, expected.errors)
+
+
+def test_validate_config_with_a_weights_key_is_a_config_error(tmp_path, capsys):
+    # the weights come from --weights; a config naming them is the retired validate format
+    argv = _validate_on(tmp_path, f"weights = {config_path('narx_ref.nwt')}\n")
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'weights'" in err and len(err.splitlines()) == 1
+
+
+def test_validate_without_weights_exits_2_before_any_work(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before --weights was checked")
+
+    monkeypatch.setattr(cli, "_read_dataset_csv", must_not_run)
+    monkeypatch.setattr(identify, "cross_validate", must_not_run)
+    assert cli_dispatch(["validate", "--config", config_path("train_ref.cfg")]) == 2
+    assert "--weights" in capsys.readouterr().err
 
 
 def test_train_determinism(tmp_path):
@@ -182,6 +212,21 @@ def test_every_command_but_compare_needs_a_config(tmp_path, capsys):
         assert cli_dispatch([command, "--out", str(out)]) == 2, command
         assert "--config" in capsys.readouterr().err, command
     assert not out.exists()
+
+
+def test_out_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    argv = _simulate(tmp_path, "t_end = 0.02\n")
+    argv[-1] = str(tmp_path / "missing" / "t.csv")
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and len(err.splitlines()) == 1
+
+
+def test_decreasing_event_times_are_a_config_error(tmp_path, capsys):
+    argv = _simulate(tmp_path, "t_end = 0.1\nevent = 0.05 set_vref 1.2\n"
+                               "event = 0.01 set_vref 1.1\n", config_path("ctrl_st1a.cfg"))
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == "config error: event times must be non-decreasing\n"
 
 
 def test_config_error_exits_2(tmp_path, capsys):
@@ -318,9 +363,13 @@ def _simulate_with_controller(tmp_path, ctrl_text):
 def _validate_with_weights(tmp_path, weights_text):
     weights = tmp_path / "w.nwt"
     weights.write_text(weights_text)
-    cfg = tmp_path / "v.cfg"
-    cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\nweights = {weights}\n")
-    return ["validate", "--config", str(cfg)]
+    return _validate_on(tmp_path, "", weights)
+
+
+def _validate_on(tmp_path, extra, weights=config_path("narx_ref.nwt")):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\n{extra}")
+    return ["validate", "--config", str(cfg), "--weights", str(weights)]
 
 
 def _simulate_with_weights(tmp_path, weights_text):
@@ -374,9 +423,7 @@ def _non_utf8_dataset(tmp_path):
 def _non_utf8_weights(tmp_path):
     weights = tmp_path / "w.nwt"
     weights.write_bytes(b"narx-v1 p=0 in=13\n\xff\n0.0\n")
-    cfg = tmp_path / "v.cfg"
-    cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\nweights = {weights}\n")
-    return ["validate", "--config", str(cfg)]
+    return _validate_on(tmp_path, "", weights)
 
 
 BAD_INPUTS = {
@@ -518,11 +565,8 @@ def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
     @settings(max_examples=40, deadline=None)
     @given(FUZZ_VALUES)
     def validation(train_fraction):
-        cfg = tmp / "v.cfg"
-        cfg.write_text(f"dataset = {config_path('dataset_dither.csv')}\n"
-                       f"weights = {config_path('narx_ref.nwt')}\n"
-                       f"train_fraction = {train_fraction}\n")
-        assert cli_dispatch(["validate", "--config", str(cfg)]) in (0, 2, 3)
+        argv = _validate_on(tmp, f"train_fraction = {train_fraction}\n")
+        assert cli_dispatch(argv) in (0, 2, 3)
 
     minphase()
     simulate()

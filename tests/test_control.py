@@ -154,6 +154,16 @@ def test_non_finite_g_hat_inside_the_loop_is_named(g_late):
         control_step(ctrl, 1.1392, 1.1392, 0.0)
 
 
+@pytest.mark.parametrize("f_late", [np.nan, np.inf])
+def test_non_finite_f_hat_is_a_control_input_that_is_not_finite(f_late):
+    # g_hat is finite, so only the control input catches the non-finite f_hat
+    model = SimpleNamespace(f=lambda z: f_late, g=lambda z: 1.0)
+    ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7]),
+                                          nu=0.0, d0=math.inf)
+    with pytest.raises(FloatingPointError, match="^control input is not finite$"):
+        control_step(ctrl, 1.1392, 1.1392, 0.0)
+
+
 def test_histories_stay_tuples_of_python_floats(shipped_nets):
     # the newest-first shifts pay off only while the histories hold Python
     # floats, whatever scalar type the plant hands in

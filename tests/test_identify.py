@@ -7,10 +7,10 @@ from smibctrl.configio import (Key, fields_schema, parse_float, parse_str, read_
                                read_table, resolve_path)
 from smibctrl.identify import (ExcitationPlan, ValidationReport, build_regression_set,
                                cross_validate, excite_and_record, select_deadzone, split)
-from smibctrl.machine import load_machine_config
+from smibctrl.machine import DivergenceError, load_machine_config
 from smibctrl.networks import Dataset, Mlp, lm_train, predict_batch
 
-from conftest import config_path
+from conftest import config_path, fail_advance_on_call
 
 
 def test_plan_validation():
@@ -53,6 +53,21 @@ def test_recording_reproduces_shipped_dataset():
     assert len(u) == len(shipped) == 10000
     assert np.max(np.abs(u - shipped[:, 1])) <= 1e-10
     assert np.max(np.abs(y - shipped[:, 2])) <= 1e-10
+
+
+def test_recording_takes_no_step_after_its_last_sample(ref_params, monkeypatch):
+    # n samples need n - 1 periods; a failure in an n-th would discard a complete record
+    plan = ExcitationPlan(n_samples=14, seed=5)
+    u, y = excite_and_record(ref_params, plan)
+    fail_advance_on_call(monkeypatch, plan.n_samples)
+    u2, y2 = excite_and_record(ref_params, plan)
+    assert np.array_equal(u, u2) and np.array_equal(y, y2)
+
+
+def test_divergence_names_the_sample(ref_params, monkeypatch):
+    fail_advance_on_call(monkeypatch, 5)
+    with pytest.raises(DivergenceError, match="^simulation diverged at sample 4$"):
+        excite_and_record(ref_params, ExcitationPlan(n_samples=14, seed=5))
 
 
 def test_excitation_hold_pattern(short_recording):

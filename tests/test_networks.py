@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -353,6 +354,20 @@ def test_weight_file_roundtrip(tmp_path):
     assert first_line == "narx-v1 p=5 in=13"
     f2, g2 = load_weights(path)
     assert np.array_equal(theta_flatten(f2, g2), theta_flatten(f_net, g_net))
+
+
+def test_interrupted_weight_write_leaves_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "nets.nwt"
+    save_weights(path, random_net(seed=31), random_net(seed=32))
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_weights(path, random_net(seed=33), random_net(seed=34))
+    assert path.read_bytes() == before
 
 
 def test_weight_file_validates_length(tmp_path):

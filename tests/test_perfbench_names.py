@@ -58,7 +58,7 @@ def test_traced_excitation_records_every_micro_step():
     plan = identify.ExcitationPlan(n_samples=identify.N_LAGS_Y + identify.N_LAGS_U + 1)
     with tracing.Tracer() as tracer:
         identify.excite_and_record(machine.MachineParams(), plan)
-    assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * plan.n_samples
+    assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * (plan.n_samples - 1)
     assert tracer.names.count("identify.excite_and_record") == 1
 
 
@@ -75,5 +75,5 @@ def test_traced_closed_loop_records_every_layer_per_instant():
     assert tracer.names.count("control.control_step") == n
     assert tracer.names.count("control.linearizing_control") == n
     assert tracer.names.count("networks.mlp_forward") == 2 * n + 1  # f and g, and the floor
-    assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * n
+    assert tracer.names.count("machine.rk4_step") == machine.MICRO_STEPS * (n - 1)
     assert tracer.names.count("networks.weight_jacobian") == int(trace.adapted.sum()) > 0

@@ -19,7 +19,7 @@ from smibctrl.scenarios import (Event, ScenarioError, Trace, UndefinedMetricErro
                                 TRACE_COLUMNS, load_controller_config, parse_scenario,
                                 run_scenario)
 
-from conftest import config_path
+from conftest import config_path, fail_advance_on_call
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -188,7 +188,8 @@ def test_offline_commands_run_without_scipy(tmp_path, command):
                     "t_end = 0.02\nevent = 0.01 set_vref 1.2\n",
     }.get(command, ""))
     argv = {"train": ["train", "--config", str(cfg), "--out", str(tmp_path / "w.nwt")],
-            "validate": ["validate", "--config", config_path("validate_ref.cfg")],
+            "validate": ["validate", "--config", config_path("train_ref.cfg"),
+                         "--weights", config_path("narx_ref.nwt")],
             "compare": ["compare", os.path.join(REPO, "results", "pss_step_nu0.csv"),
                         os.path.join(REPO, "results", "pss_step_nu3.csv")],
             "identify": ["identify", "--config", str(cfg), "--out", str(tmp_path / "d.csv")],
@@ -381,6 +382,18 @@ def test_big_swing_completes_and_returns():
     assert np.all(np.isfinite(trace.v_t))
     assert abs(trace.v_t[trace.at_time(2.5)] - 2.0) <= 0.01
     assert abs(trace.v_t[-1] - 1.1392) <= 0.005
+
+
+def test_scenario_takes_no_step_after_its_last_instant(monkeypatch):
+    # n instants need n - 1 periods; a failure in an n-th would discard a complete trace
+    cfg = replace(parse_scenario(config_path("scen_step_nominal_st1a.cfg")),
+                  t_end=0.02, events=[])
+    trace = run_scenario(cfg)
+    fail_advance_on_call(monkeypatch, cfg.n_steps)
+    again = run_scenario(cfg)
+    assert len(again) == cfg.n_steps == 10
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(again, name), getattr(trace, name)), name
 
 
 def test_deadzone_above_every_error_freezes_a_shipped_scenario(tmp_path):
