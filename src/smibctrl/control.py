@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .networks import (Mlp, N_LAGS_U, N_LAGS_Y, make_regressor, mlp_forward,
-                       theta_flatten, theta_unflatten, weight_jacobian)
+from .networks import (Mlp, N_LAGS_U, N_LAGS_Y, mlp_forward, theta_flatten, theta_unflatten,
+                       weight_jacobian)
 
 
 # With every pole strictly inside the unit circle the coefficients satisfy
@@ -92,8 +93,9 @@ def linearizing_control(f_hat: float, g_hat: float, u_til: float, g_min: float) 
 class NeuralPlantModel:
     """Adaptable two-network model exposing f(z), g(z) and the weight Jacobian.
 
-    theta is the model's own copy of the weights and the only one: f_net
-    and g_net are views of it, so writing theta in place adapts both.
+    theta is the model's own copy of the weights, and f_net and g_net are
+    views of it.  Adaptation never writes it: adapted(theta) returns a new
+    model.
     """
 
     def __init__(self, f_net: Mlp, g_net: Mlp):
@@ -110,10 +112,14 @@ class NeuralPlantModel:
     def jacobian(self, z, u: float) -> np.ndarray:
         return weight_jacobian(self.f_net, self.g_net, z, u)
 
+    def adapted(self, theta) -> "NeuralPlantModel":
+        """A new model of the same shape holding the weights theta."""
+        return NeuralPlantModel(*theta_unflatten(theta, self.f_net.n_hidden))
 
-@dataclass
-class ControllerState:
-    """One adaptive loop: its fixed constants, the model and the histories.
+
+class ControllerState(NamedTuple):
+    """One adaptive loop at one instant, as an immutable value: its fixed
+    constants, the model and the histories.
 
     The constants are the pole-placement target, the damping gain k_pss on
     the per-unit slip, the deadzone radius d0 and the floor g_min on
@@ -135,63 +141,55 @@ class ControllerState:
     last_e_star: float = 0.0
     last_adapted: bool = False
 
-    def __post_init__(self):
-        self.y_hist, self.u_hist = tuple(map(float, self.y_hist)), tuple(map(float, self.u_hist))
-        if not 0.0 < self.g_min < math.inf:
-            raise ValueError(f"g_min must be positive and finite, got {self.g_min}")
-        if not self.d0 >= 0.0:
-            raise ValueError("deadzone radius must be non-negative")
-
     @classmethod
     def at_equilibrium(cls, model, y_eq: float, *, placement: PolePlacement, nu: float,
                        d0: float):
         """Histories at the output y_eq and zero input perturbation; the
         damping gain is nu * PSS_BASE_GAIN and the floor g_min a tenth of
         |g_hat| at that operating point, which must be finite."""
+        if not d0 >= 0.0:
+            raise ValueError("deadzone radius must be non-negative")
         y_hist = (float(y_eq),) * max(placement.p, N_LAGS_Y)
         u_hist = (0.0,) * N_LAGS_U
-        g_eq = model.g(make_regressor(y_hist, u_hist))
+        g_eq = model.g(np.array(y_hist[:N_LAGS_Y] + u_hist))
         if not math.isfinite(g_eq):
             raise FloatingPointError(f"g_hat = {g_eq} at the operating point is not finite")
-        return cls(model=model, placement=placement, k_pss=nu * PSS_BASE_GAIN, d0=d0,
-                   g_min=max(0.1 * abs(g_eq), 1e-9), y_hist=y_hist, u_hist=u_hist)
+        return cls(model, placement, nu * PSS_BASE_GAIN, d0, max(0.1 * abs(g_eq), 1e-9),
+                   y_hist, u_hist)
 
 
 def control_step(ctrl: ControllerState, r: float, y_meas: float, slip: float):
-    """One sampling instant of the adaptive loop.
+    """One sampling instant of the adaptive loop, a pure function of its
+    arguments.
 
     Adapts the model from the previous instant's prediction error, then
-    forms the regressor, inverts the model through the pole-placement
-    outer loop, adds the damping term k_pss * slip (slip is the per-unit
-    rotor slip omega/omega_b) and records the prediction and its
-    regressor for the next instant.  Returns (u, ctrl) with ctrl updated
-    in place.
+    forms the regressor z = [y(k)..y(k-6), u(k-1)..u(k-6)], inverts the
+    model through the pole-placement outer loop, adds the damping term
+    k_pss * slip (slip is the per-unit rotor slip omega/omega_b) and
+    records the prediction and its regressor for the next instant.
+    Returns (u, next state); ctrl and its model are left unchanged.
     """
-    ctrl.last_adapted = False
-    ctrl.last_e_star = 0.0
-    if ctrl.last_prediction is not None:
-        e_star = ctrl.last_prediction - y_meas
-        ctrl.last_e_star = float(e_star)
-        if abs(e_star) > ctrl.d0:
+    model, placement, k_pss, d0, g_min, y_hist, u_hist, prediction, z_prev, _, _ = ctrl
+    e_star, adapted = 0.0, False
+    if prediction is not None:
+        e_star = float(prediction - y_meas)
+        if abs(e_star) > d0:
             # Normalized-gradient step on the error shrunk toward zero by d0.
             # theta has not moved since the prediction, and u(k-1) is u_hist[0].
-            jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
-            step = (e_star - math.copysign(ctrl.d0, e_star)) / (1.0 + float(jac @ jac))
-            ctrl.model.theta -= step * jac
-            ctrl.last_adapted = True
+            jac = model.jacobian(z_prev, u_hist[0])
+            step = (e_star - math.copysign(d0, e_star)) / (1.0 + float(jac @ jac))
+            model = model.adapted(model.theta - step * jac)
+            adapted = True
 
-    ctrl.y_hist = (float(y_meas),) + ctrl.y_hist[:-1]
-    z = np.array(ctrl.y_hist[:N_LAGS_Y] + ctrl.u_hist)  # make_regressor's (13,) layout
-    f_hat = ctrl.model.f(z)
-    g_hat = ctrl.model.g(z)
+    y_hist = (float(y_meas),) + y_hist[:-1]
+    z = np.array(y_hist[:N_LAGS_Y] + u_hist)
+    f_hat = model.f(z)
+    g_hat = model.g(z)
     if not math.isfinite(g_hat):  # the floor would pick its sign from a NaN
         raise FloatingPointError(f"g_hat = {g_hat} is not finite")
-    u_til = u_tilde(r, ctrl.y_hist, ctrl.placement)
-    u = float(linearizing_control(f_hat, g_hat, u_til, ctrl.g_min) + ctrl.k_pss * slip)
+    u_til = u_tilde(r, y_hist, placement)
+    u = float(linearizing_control(f_hat, g_hat, u_til, g_min) + k_pss * slip)
     if not math.isfinite(u):
         raise FloatingPointError("control input is not finite")
-
-    ctrl.last_prediction = f_hat + g_hat * u
-    ctrl.last_regressor = z
-    ctrl.u_hist = (u,) + ctrl.u_hist[:-1]
-    return u, ctrl
+    return u, ControllerState(model, placement, k_pss, d0, g_min, y_hist,
+                              (u,) + u_hist[:-1], f_hat + g_hat * u, z, e_star, adapted)

@@ -29,7 +29,7 @@ class Mlp:
     """One-hidden-layer tanh network with a linear output neuron.
 
     The four fields are arrays; theta_unflatten makes them views of one
-    weight vector, so writing that vector moves the network.
+    weight vector.
     """
 
     hidden_w: np.ndarray   # (p, REGRESSOR_LEN)
@@ -68,15 +68,6 @@ def mlp_forward(net: Mlp, z) -> float:
     if z.shape != (REGRESSOR_LEN,):
         raise ValueError(f"regressor shape {z.shape} is not ({REGRESSOR_LEN},)")
     return float(_forward_batch(net, z))
-
-
-def make_regressor(y_hist, u_hist) -> np.ndarray:
-    """Regressor from newest-first output and input histories."""
-    y_hist = np.asarray(y_hist, dtype=float)
-    u_hist = np.asarray(u_hist, dtype=float)
-    if len(y_hist) < N_LAGS_Y or len(u_hist) < N_LAGS_U:
-        raise ValueError("insufficient history for the regressor")
-    return np.concatenate((y_hist[:N_LAGS_Y], u_hist[:N_LAGS_U]))
 
 
 # --- flat parameter vector ------------------------------------------------

@@ -185,21 +185,23 @@ def _apply_event(params, v_ref, event: Event):
 
 
 def _control_law(ctrl_cfg: ControllerConfig, y_eq: float):
-    """The controller as one callable (v_ref, v_t, slip) -> (u_pert, e_star, adapted)."""
+    """The controller as its initial state and one pure law
+    (state, v_ref, v_t, slip) -> (u_pert, e_star, adapted, next state)."""
     if ctrl_cfg.kind == "st1a":
-        return lambda v_ref, v_t, slip: (machine.st1a_control(v_t, v_ref), 0.0, 0.0)
+        return None, lambda state, v_ref, v_t, slip: (machine.st1a_control(v_t, v_ref),
+                                                      0.0, 0.0, state)
     if ctrl_cfg.kind == "none":
-        return lambda v_ref, v_t, slip: (0.0, 0.0, 0.0)
+        return None, lambda state, v_ref, v_t, slip: (0.0, 0.0, 0.0, state)
     f_net, g_net = load_weights(ctrl_cfg.weights_path)
-    model = NeuralPlantModel(f_net, g_net)
-    state = ControllerState.at_equilibrium(model, y_eq, placement=ctrl_cfg.placement,
-                                           nu=ctrl_cfg.nu, d0=ctrl_cfg.d0)
+    state = ControllerState.at_equilibrium(NeuralPlantModel(f_net, g_net), y_eq,
+                                           placement=ctrl_cfg.placement, nu=ctrl_cfg.nu,
+                                           d0=ctrl_cfg.d0)
 
-    def neural(v_ref, v_t, slip):
-        u_pert, _ = control_step(state, v_ref, v_t, slip)  # a tracer may wrap this name
-        return u_pert, state.last_e_star, float(state.last_adapted)
+    def neural(state, v_ref, v_t, slip):
+        u_pert, state = control_step(state, v_ref, v_t, slip)  # a tracer may wrap this name
+        return u_pert, state.last_e_star, float(state.last_adapted), state
 
-    return neural
+    return state, neural
 
 
 def instants(cfg: ScenarioConfig):
@@ -208,16 +210,18 @@ def instants(cfg: ScenarioConfig):
     params = machine.load_machine_config(cfg.machine_path)
     ctrl_cfg = load_controller_config(cfg.controller_path)
     x, u_eq = machine.find_equilibrium(params, cfg.v_ref)
-    law = _control_law(ctrl_cfg, machine.terminal_voltage(x, params))
-    pending = sorted(cfg.events, key=lambda e: e.time)
+    state, law = _control_law(ctrl_cfg, machine.terminal_voltage(x, params))
+    events = iter(cfg.events)  # in time order, which ScenarioConfig checks
+    event = next(events, None)
     v_ref = cfg.v_ref
     last = cfg.n_steps - 1
     for k in range(cfg.n_steps):
         t = k * cfg.dt_control
-        while pending and pending[0].time <= t + EVENT_TIME_TOL:
-            params, v_ref = _apply_event(params, v_ref, pending.pop(0))
+        while event is not None and event.time <= t + EVENT_TIME_TOL:
+            params, v_ref = _apply_event(params, v_ref, event)
+            event = next(events, None)
         v_t = machine.terminal_voltage(x, params)
-        u_pert, e_star, adapted = law(v_ref, v_t, x[1] / params.omega_b)
+        u_pert, e_star, adapted, state = law(state, v_ref, v_t, x[1] / params.omega_b)
         u = u_eq + u_pert
         yield t, v_ref, v_t, u, x[0], x[1], e_star, adapted
         if k == last:  # nothing reads the state after the last instant

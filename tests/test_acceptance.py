@@ -101,11 +101,11 @@ def test_criterion_04_deadzone_halts_adaptation(shipped_nets):
     d0 = 0.01
     ctrl = ControllerState.at_equilibrium(model, 1.1392, placement=synthesize_poly([0.7] * 7),
                                           nu=0.0, d0=d0)
-    control_step(ctrl, 1.1392, 1.1392, 0.0)
+    _, ctrl = control_step(ctrl, 1.1392, 1.1392, 0.0)
     theta0 = ctrl.model.theta.copy()
     for _ in range(1000):
         y_meas = ctrl.last_prediction + 0.5 * d0  # error inside the deadzone
-        control_step(ctrl, 1.1392, y_meas, 0.0)
+        _, ctrl = control_step(ctrl, 1.1392, y_meas, 0.0)
         assert abs(ctrl.last_e_star) <= d0
     assert np.array_equal(ctrl.model.theta, theta0)
     verdict(4, "deadzone halting", "theta bitwise unchanged over 1000 steps")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
                               linearizing_control, synthesize_poly, u_tilde)
-from smibctrl.networks import Mlp, make_regressor, mlp_forward, theta_flatten
+from smibctrl.identify import build_regression_set
+from smibctrl.networks import N_LAGS_Y, Mlp, mlp_forward, theta_flatten
 
 PRINTED_SEVENTH = [-4.9, 10.29, -12.005, 8.4035, -3.5295, 0.8235, -0.0824]
 
@@ -107,18 +108,6 @@ def make_controller(seed=0, nu=0.0, d0=1e-6):
 def test_controller_state_rejects_bad_constants():
     with pytest.raises(ValueError):
         make_controller(d0=-1e-6)
-    ctrl = make_controller()
-    with pytest.raises(ValueError):
-        ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
-                        g_min=0.0, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
-
-
-@pytest.mark.parametrize("g_min", [np.inf, np.nan])
-def test_controller_state_rejects_a_floor_that_is_not_finite(g_min):
-    ctrl = make_controller()
-    with pytest.raises(ValueError, match="g_min must be positive and finite"):
-        ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=0.0,
-                        g_min=g_min, y_hist=ctrl.y_hist, u_hist=ctrl.u_hist)
 
 
 @pytest.mark.parametrize("g_eq", [np.inf, -np.inf, np.nan])
@@ -133,7 +122,7 @@ def test_floor_is_a_tenth_of_g_hat_at_the_operating_point(shipped_nets):
     ctrl = ControllerState.at_equilibrium(NeuralPlantModel(f_net, g_net), 1.1392,
                                           placement=synthesize_poly([0.7] * 7),
                                           nu=3.0, d0=0.01)
-    z_eq = make_regressor(np.full(7, 1.1392), np.zeros(6))
+    z_eq = np.concatenate((np.full(7, 1.1392), np.zeros(6)))
     assert ctrl.g_min == max(0.1 * abs(mlp_forward(g_net, z_eq)), 1e-9)
     assert ctrl.g_min > 1e-9
     flat = ControllerState.at_equilibrium(SimpleNamespace(g=lambda z: 0.0), 1.1392,
@@ -180,34 +169,30 @@ def test_histories_stay_tuples_of_python_floats(shipped_nets):
     rng = np.random.default_rng(6)
     for _ in range(10):
         u_before = ctrl.u_hist
-        control_step(ctrl, 1.1392, np.float64(1.1392 + 1e-3 * rng.normal()),
-                     np.float64(1e-4 * rng.normal()))
+        _, ctrl = control_step(ctrl, 1.1392, np.float64(1.1392 + 1e-3 * rng.normal()),
+                               np.float64(1e-4 * rng.normal()))
         check()
         z = ctrl.last_regressor
         assert type(z) is np.ndarray and z.shape == (13,) and z.dtype == np.float64
-        assert z.tobytes() == make_regressor(ctrl.y_hist, u_before).tobytes()
+        assert z.tobytes() == np.concatenate((ctrl.y_hist[:7], u_before)).tobytes()
     assert ctrl.last_adapted
-    # arrays given directly are converted, which the shifts would broadcast over
-    ctrl = ControllerState(model=ctrl.model, placement=ctrl.placement, k_pss=0.0, d0=math.inf,
-                           g_min=1.0, y_hist=np.array(ctrl.y_hist),
-                           u_hist=np.zeros(6))
-    check()
 
 
 def adapting_step(ctrl, e_target):
     """One control_step whose prediction error is about e_target; returns the
-    Jacobian the step adapts along, from the previous regressor and input."""
+    Jacobian the step adapts along, from the previous regressor and input,
+    and the next state."""
     jac = ctrl.model.jacobian(ctrl.last_regressor, ctrl.u_hist[0])
-    control_step(ctrl, 1.0, ctrl.last_prediction - e_target, 0.0)
-    return jac
+    _, ctrl = control_step(ctrl, 1.0, ctrl.last_prediction - e_target, 0.0)
+    return jac, ctrl
 
 
 @pytest.mark.parametrize("e_target", [0.3, -0.3, 2.5e-3, -4.0])
 def test_adapting_step_is_the_normalized_deadzone_gradient(e_target):
     ctrl = make_controller(seed=5, d0=1e-3)
-    control_step(ctrl, 1.0, 1.0, 0.0)
+    _, ctrl = control_step(ctrl, 1.0, 1.0, 0.0)
     theta0 = ctrl.model.theta.copy()
-    jac = adapting_step(ctrl, e_target)
+    jac, ctrl = adapting_step(ctrl, e_target)
     e = ctrl.last_e_star
     assert ctrl.last_adapted and abs(e) > ctrl.d0
     expected = theta0 - (e - np.sign(e) * ctrl.d0) / (1.0 + float(jac @ jac)) * jac
@@ -218,9 +203,9 @@ def test_adapting_step_is_the_normalized_deadzone_gradient(e_target):
 @settings(max_examples=60, deadline=None)
 def test_adapting_step_is_at_most_half_the_shrunk_error(e_target, d0, seed):
     ctrl = make_controller(seed=seed, d0=d0)
-    control_step(ctrl, 1.0, 1.0, 0.0)
+    _, ctrl = control_step(ctrl, 1.0, 1.0, 0.0)
     theta0 = ctrl.model.theta.copy()
-    jac = adapting_step(ctrl, e_target)
+    jac, ctrl = adapting_step(ctrl, e_target)
     shrunk = max(abs(ctrl.last_e_star) - d0, 0.0)
     norm_j = np.linalg.norm(jac)
     step = np.linalg.norm(ctrl.model.theta - theta0)
@@ -231,14 +216,14 @@ def test_adapting_step_is_at_most_half_the_shrunk_error(e_target, d0, seed):
 
 def test_error_on_the_band_edge_leaves_theta_bitwise_unchanged():
     probe = make_controller(seed=2)
-    control_step(probe, 1.0, 1.0, 0.0)
+    _, probe = control_step(probe, 1.0, 1.0, 0.0)
     prediction = probe.last_prediction
     for y_meas in (prediction - 0.01, prediction + 0.01):
         # d0 is exactly |e|, so e = +d0 or -d0
         ctrl = make_controller(seed=2, d0=abs(prediction - y_meas))
-        control_step(ctrl, 1.0, 1.0, 0.0)
+        _, ctrl = control_step(ctrl, 1.0, 1.0, 0.0)
         theta0 = ctrl.model.theta.copy()
-        control_step(ctrl, 1.0, y_meas, 0.0)
+        _, ctrl = control_step(ctrl, 1.0, y_meas, 0.0)
         assert abs(ctrl.last_e_star) == ctrl.d0
         assert not ctrl.last_adapted
         assert ctrl.model.theta.tobytes() == theta0.tobytes()
@@ -251,7 +236,7 @@ def test_control_step_no_adaptation_keeps_theta():
     rng = np.random.default_rng(3)
     for k in range(300):
         prediction, y_meas = ctrl.last_prediction, 1.0 + rng.normal() * 0.1
-        control_step(ctrl, 1.0, y_meas, 0.0)
+        _, ctrl = control_step(ctrl, 1.0, y_meas, 0.0)
         assert not ctrl.last_adapted
         assert ctrl.last_e_star == (0.0 if k == 0 else prediction - y_meas)
     assert ctrl.model.theta.tobytes() == theta0
@@ -261,7 +246,7 @@ def test_control_step_no_adaptation_keeps_theta():
 def test_control_step_first_step_never_adapts():
     ctrl = make_controller(d0=1e-9)
     theta0 = ctrl.model.theta.copy()
-    control_step(ctrl, 1.0, 55.0, 0.0)
+    _, ctrl = control_step(ctrl, 1.0, 55.0, 0.0)
     assert np.array_equal(ctrl.model.theta, theta0)
     assert ctrl.last_e_star == 0.0
     assert not ctrl.last_adapted
@@ -269,14 +254,14 @@ def test_control_step_first_step_never_adapts():
 
 def test_control_step_adapts_on_large_error():
     ctrl = make_controller()
-    control_step(ctrl, 1.0, 1.0, 0.0)
+    _, ctrl = control_step(ctrl, 1.0, 1.0, 0.0)
     theta0 = ctrl.model.theta.copy()
-    control_step(ctrl, 1.0, 5.0, 0.0)  # big surprise
+    _, ctrl = control_step(ctrl, 1.0, 5.0, 0.0)  # big surprise
     assert not np.array_equal(ctrl.model.theta, theta0)
     assert ctrl.last_adapted
 
 
-def test_adaptation_writes_theta_in_place(shipped_nets):
+def test_adaptation_leaves_the_given_state_and_nets_untouched(shipped_nets):
     f_net, g_net = shipped_nets
     given_theta = theta_flatten(f_net, g_net)
     model = NeuralPlantModel(f_net, g_net)
@@ -285,12 +270,15 @@ def test_adaptation_writes_theta_in_place(shipped_nets):
     rng = np.random.default_rng(8)
     adapted = 0
     for _ in range(50):
-        control_step(ctrl, 1.1392, 1.1392 + 1e-3 * rng.normal(), 0.0)
+        theta_given = ctrl.model.theta.tobytes()
+        given, (_, ctrl) = ctrl, control_step(ctrl, 1.1392, 1.1392 + 1e-3 * rng.normal(), 0.0)
         adapted += ctrl.last_adapted
+        assert given.model.theta.tobytes() == theta_given
     assert adapted == 49
-    assert not np.array_equal(model.theta, given_theta)
-    # the nets are views of theta, and the caller's nets are not touched
-    assert np.array_equal(theta_flatten(model.f_net, model.g_net), model.theta)
+    assert model.theta.tobytes() == given_theta.tobytes()
+    assert not np.array_equal(ctrl.model.theta, given_theta)
+    # the adapted nets are views of the adapted theta, and the caller's nets are not touched
+    assert np.array_equal(theta_flatten(ctrl.model.f_net, ctrl.model.g_net), ctrl.model.theta)
     assert np.array_equal(theta_flatten(f_net, g_net), given_theta)
 
 
@@ -307,9 +295,66 @@ def test_pss_zero_reduces_to_plain_linearizing_loop():
     for _ in range(30):
         y = 1.0 + 0.05 * rng.normal()
         dd = rng.normal()
-        u_a, _ = control_step(ctrl_a, 1.0, y, dd)
-        u_b, _ = control_step(ctrl_b, 1.0, y, 0.0)
+        u_a, ctrl_a = control_step(ctrl_a, 1.0, y, dd)
+        u_b, ctrl_b = control_step(ctrl_b, 1.0, y, 0.0)
         # with nu = 0 the slip input is irrelevant; with zero slip
         # the augmented law collapses to the plain one
         assert u_a == u_b
 
+
+
+def state_bytes(ctrl):
+    """Every field of a controller state, the floats and arrays as their bytes
+    and the model as its theta and its nets."""
+    model = ctrl.model
+    return (model.theta.tobytes(), theta_flatten(model.f_net, model.g_net).tobytes(),
+            ctrl.placement, np.float64([ctrl.k_pss, ctrl.d0, ctrl.g_min]).tobytes(),
+            np.float64(ctrl.y_hist).tobytes(), np.float64(ctrl.u_hist).tobytes(),
+            np.float64(ctrl.last_prediction).tobytes(),
+            None if ctrl.last_regressor is None else ctrl.last_regressor.tobytes(),
+            np.float64(ctrl.last_e_star).tobytes(), ctrl.last_adapted)
+
+
+@pytest.mark.parametrize("surprise", [0.0, 1.0])  # no prediction error, then far beyond d0
+def test_control_step_leaves_its_input_state_unchanged(surprise):
+    ctrl = make_controller(seed=3, nu=3.0, d0=1e-2)
+    given = state_bytes(ctrl)
+    _, after = control_step(ctrl, 1.0, 1.0, 0.01)
+    assert state_bytes(ctrl) == given
+    ctrl, given = after, state_bytes(after)
+    _, after = control_step(ctrl, 1.0, ctrl.last_prediction + surprise, 0.01)
+    assert state_bytes(ctrl) == given
+    assert after.last_adapted == (surprise > 0.0)
+
+
+@pytest.mark.parametrize("surprise", [0.0, 1.0])
+def test_stepping_one_state_twice_gives_the_same_instant(surprise):
+    _, ctrl = control_step(make_controller(seed=4, nu=3.0, d0=1e-2), 1.0, 1.0, 0.01)
+    y_meas = ctrl.last_prediction + surprise
+    u_a, next_a = control_step(ctrl, 1.0, y_meas, 0.02)
+    u_b, next_b = control_step(ctrl, 1.0, y_meas, 0.02)
+    assert np.float64(u_a).tobytes() == np.float64(u_b).tobytes()
+    assert state_bytes(next_a) == state_bytes(next_b)
+    assert next_a.last_adapted == (surprise > 0.0)
+
+
+def test_online_regressor_is_the_training_layout(shipped_nets):
+    # instant k's regressor and input are record k - 6 of the regression set
+    # that identification builds from the same recorded series
+    ctrl = ControllerState.at_equilibrium(NeuralPlantModel(*shipped_nets), 1.1392,
+                                          placement=synthesize_poly([0.7] * 7),
+                                          nu=3.0, d0=1e-3)
+    rng = np.random.default_rng(12)
+    y = 1.1392 + 1e-2 * rng.normal(size=80)
+    u, z, adapted = [], [], 0
+    for y_k in y:
+        u_k, ctrl = control_step(ctrl, 1.1392, y_k, 1e-4 * rng.normal())
+        u.append(u_k)
+        z.append(ctrl.last_regressor)
+        adapted += ctrl.last_adapted
+    assert adapted > 0
+    data = build_regression_set(u, y)
+    lag = N_LAGS_Y - 1
+    assert len(data) == len(y) - lag - 1
+    assert np.array(z[lag:-1]).tobytes() == data.z.tobytes()
+    assert np.array(u[lag:-1]).tobytes() == data.u.tobytes()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smibctrl.networks import (Dataset, Mlp, _forward_batch, _jacobian_batch, lm_train,
-                               load_weights, make_regressor, mlp_forward, mse_cost,
+                               load_weights, mlp_forward, mse_cost,
                                predict_batch, save_weights, theta_flatten, theta_unflatten,
                                weight_jacobian)
 
@@ -385,10 +385,3 @@ def test_weight_file_rejects_other_formats(tmp_path):
     path.write_text("something-else p=5 in=13\n")
     with pytest.raises(ValueError):
         load_weights(path)
-
-
-def test_make_regressor_ordering():
-    y_hist = np.arange(1.0, 9.0)    # newest first
-    u_hist = np.arange(10.0, 17.0)
-    z = make_regressor(y_hist, u_hist)
-    assert np.array_equal(z, np.concatenate([np.arange(1.0, 8.0), np.arange(10.0, 16.0)]))

@@ -51,7 +51,7 @@ def run_oracle_loop(placement, f, g, r_series, ctrl=None):
         ctrl = oracle_controller(placement, f, g)
     y = [0.0]
     for r in r_series[:-1]:
-        u, _ = control_step(ctrl, r, y[-1], 0.0)
+        u, ctrl = control_step(ctrl, r, y[-1], 0.0)
         z = ctrl.last_regressor
         y.append(f(z) + g(z) * u)
     return np.array(y)
@@ -89,7 +89,7 @@ def test_oracle_series_do_not_touch_the_floor(p):
     assert ctrl.g_min == 0.1
     r = reference_series()
     y = run_oracle_loop(placement, synthetic_f, synthetic_g, r)
-    y_old = run_oracle_loop(placement, synthetic_f, synthetic_g, r, replace(ctrl, g_min=1e-9))
+    y_old = run_oracle_loop(placement, synthetic_f, synthetic_g, r, ctrl._replace(g_min=1e-9))
     assert y_old.tobytes() == y.tobytes()
 
 
@@ -349,6 +349,16 @@ def test_instants_stream_is_the_trace_and_calls_control_step_once_per_row(monkey
     assert rows.shape == expected.shape
     assert rows.tobytes() == expected.tobytes()
     assert len(calls) == k
+
+
+@pytest.mark.parametrize("kind", ["st1a", "none"])
+def test_laws_without_a_model_return_the_state_they_were_given(kind):
+    cfg = scenarios.ControllerConfig(kind=kind, placement=synthesize_poly([0.7]), nu=3.0,
+                                     d0=0.01, weights_path=None)
+    state0, law = scenarios._control_law(cfg, 1.1392)
+    state = object()
+    assert law(state, 1.2392, 1.1392, 1e-3)[3] is state
+    assert law(state0, 1.2392, 1.1392, 1e-3)[3] is state0
 
 
 def test_slipped_pole_raises_synchronism_lost(tmp_path):
