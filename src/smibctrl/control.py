@@ -113,8 +113,12 @@ class NeuralPlantModel:
         return weight_jacobian(self.f_net, self.g_net, z, u)
 
     def adapted(self, theta) -> "NeuralPlantModel":
-        """A new model of the same shape holding the weights theta."""
-        return NeuralPlantModel(*theta_unflatten(theta, self.f_net.n_hidden))
+        """A new model of the same shape that takes over the weights theta,
+        which the caller must not write afterwards."""
+        model = object.__new__(NeuralPlantModel)
+        model.theta = np.asarray(theta, dtype=float)
+        model.f_net, model.g_net = theta_unflatten(model.theta, self.f_net.n_hidden)
+        return model
 
 
 class ControllerState(NamedTuple):

@@ -101,7 +101,8 @@ def weight_jacobian(f_net: Mlp, g_net: Mlp, z, u: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (REGRESSOR_LEN,):
         raise ValueError("regressor length does not match the networks")
-    return _jacobian_batch(f_net, g_net, z[None], np.array([float(u)]))[0]
+    return _jacobian_batch(f_net, g_net, z[:, None], np.array([float(u)]),
+                           _hidden_layers(f_net, g_net, z[None]))[0]
 
 
 # --- dataset ----------------------------------------------------------------
@@ -145,29 +146,56 @@ def mse_cost(f_net: Mlp, g_net: Mlp, data: Dataset) -> float:
     return float(0.5 * np.mean(e * e))
 
 
-def _jacobian_batch(f_net: Mlp, g_net: Mlp, Z: np.ndarray, U: np.ndarray,
+def _hidden_layers(f_net: Mlp, g_net: Mlp, Z: np.ndarray):
+    """Both networks' tanh hidden layers over the (N, REGRESSOR_LEN) regressors
+    Z, unit-major: (p, N) arrays, so the bias add and tanh run along N.
+
+    The product reads Z through its transpose, the operand layout of
+    _forward_batch's Z @ hidden_w.T, so BLAS sums each entry in its order.
+    """
+    return tuple(np.tanh(net.hidden_w @ Z.T + net.hidden_b[:, None]) for net in (f_net, g_net))
+
+
+def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidden,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Rows of d(y_hat)/d(theta) for the whole batch, as an (N, n_theta) array.
 
-    The entries live in one C-ordered (n_theta, N) array, one row per weight,
-    and the result is its transpose; out, when given, is that array.
+    Zt holds the regressors as columns (best C-contiguous: each weight row
+    is filled along N) and hidden is _hidden_layers of the same records.
+    The entries live in one C-ordered (n_theta, N) array, one row per
+    weight, and the result is its transpose; out, when given, is that array.
     """
-    N, p = Z.shape[0], f_net.n_hidden
+    N, p = Zt.shape[1], f_net.n_hidden
     w_end = p * REGRESSOR_LEN
     n = w_end + 2 * p + 1   # weights per network
     jt = np.empty((2 * n, N)) if out is None else out
-    for net, scale, rows in ((f_net, None, jt[:n]), (g_net, U, jt[n:])):
-        T = np.tanh(Z @ net.hidden_w.T + net.hidden_b)      # (N, p)
-        S = (1.0 - T * T) * net.out_w                        # (N, p)
-        if scale is not None:   # f's scale is 1: skipping x * 1.0 changes no bits
-            S *= scale[:, None]
-            T *= scale[:, None]
-        np.multiply(S.T[:, None, :], Z.T[None, :, :],
-                    out=rows[:w_end].reshape(p, REGRESSOR_LEN, N))
-        rows[w_end:w_end + p] = S.T
-        rows[w_end + p:-1] = T.T
-        rows[-1] = 1.0 if scale is None else scale
+    for net, H, scale, rows in ((f_net, hidden[0], None, jt[:n]),
+                                (g_net, hidden[1], U, jt[n:])):
+        S = rows[w_end:w_end + p]
+        np.multiply(1.0 - H * H, net.out_w[:, None], out=S)
+        if scale is None:   # f's scale is 1: skipping x * 1.0 changes no bits
+            rows[w_end + p:-1] = H
+            rows[-1] = 1.0
+        else:
+            S *= scale
+            np.multiply(H, scale, out=rows[w_end + p:-1])
+            rows[-1] = scale
+        np.multiply(S[:, None, :], Zt[None, :, :], out=rows[:w_end].reshape(p, REGRESSOR_LEN, N))
     return jt.T
+
+
+def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset):
+    """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers).
+
+    Each output layer sums over a record-major copy of its hidden layer, in
+    _forward_batch's order, so the cost and residual round as mse_cost's
+    and predict_batch's do.
+    """
+    hidden = _hidden_layers(f_net, g_net, data.z)
+    y_f, y_g = (np.ascontiguousarray(H.T) @ net.out_w + net.out_b
+                for net, H in zip((f_net, g_net), hidden))
+    e = data.y_next - (y_f + y_g * data.u)
+    return float(0.5 * np.mean(e * e)), e, hidden
 
 
 LM_MU0 = 1e-2   # initial Levenberg-Marquardt damping
@@ -189,9 +217,11 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     Iterates theta <- theta + s with (J'J + mu I) s = -J'e over the whole
     batch, where e is the prediction error y_hat - y.  mu is divided by 10
     on an accepted step and multiplied by 10 while a trial step increases
-    the cost.  Returns (f_net, g_net, LmState), the networks views of the
-    final theta.  The accepted-step cost sequence is non-increasing, so a
-    finite starting cost, which TrainingError enforces, stays finite.
+    the cost.  Each trial is one forward pass, and the accepted trial's
+    residual and hidden layers give the next iteration's J'e and J.
+    Returns (f_net, g_net, LmState), the networks views of the final
+    theta.  The accepted-step cost sequence is non-increasing, so a finite
+    starting cost, which TrainingError enforces, stays finite.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -207,20 +237,22 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
         raise TrainingError(f"starting cost is not finite: {cost}")
     state.cost_history.append(cost)
     identity = np.eye(theta.size)
+    Zt = np.ascontiguousarray(data.z.T)
     jt = np.empty((theta.size, len(data)))   # J', refilled every iteration
+    # the residual and hidden layers at theta, from the last accepted forward pass
+    _, residual, hidden = _lm_forward(f_net, g_net, data)
 
     for it in range(max_iter):
         if cost <= cost_tol:
             break
         state.iteration = it + 1
-        e = predict_batch(f_net, g_net, data.z, data.u) - data.y_next
-        _jacobian_batch(f_net, g_net, data.z, data.u, out=jt)
+        _jacobian_batch(f_net, g_net, Zt, data.u, hidden, out=jt)
         jtj = jt @ jt.T
-        jte = jt @ e
+        jtr = jt @ residual   # -J'e
         accepted = False
         for _ in range(60):
             try:
-                step = np.linalg.solve(jtj + state.mu * identity, -jte)
+                step = np.linalg.solve(jtj + state.mu * identity, jtr)
             except np.linalg.LinAlgError as exc:
                 cond = np.linalg.cond(jtj + state.mu * identity)
                 raise TrainingError(
@@ -228,10 +260,11 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                 ) from exc
             trial = theta + step
             f_try, g_try = theta_unflatten(trial, p)
-            trial_cost = mse_cost(f_try, g_try, data)
+            trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data)
             if np.isfinite(trial_cost) and trial_cost < cost:
                 theta, cost = trial, trial_cost
                 f_net, g_net = f_try, g_try
+                residual, hidden = trial_residual, trial_hidden
                 state.mu = max(state.mu / 10.0, 1e-15)
                 accepted = True
                 break

@@ -118,6 +118,12 @@ def test_train_ref_retrains_the_committed_weights(tmp_path):
     assert np.max(np.abs(networks.theta_flatten(*trained) - ref)) <= 1e-7
     costs = np.loadtxt(tmp_path / "narx_cost.csv", delimiter=",", skiprows=1)
     assert costs[-1, 1] <= 1e-4
+    # the committed cost history of narx_ref.nwt: the same 151 costs, each within
+    # 1e-5 relative (2.0e-7 at most, at iteration 9)
+    ref_costs = np.loadtxt(config_path("narx_ref_cost.csv"), delimiter=",", skiprows=1)
+    assert ref_costs.shape == costs.shape == (151, 2)
+    assert np.array_equal(costs[:, 0], ref_costs[:, 0])
+    assert np.max(np.abs(costs[:, 1] / ref_costs[:, 1] - 1.0)) <= 1e-5
     series = [cli._read_dataset_csv(config_path(name))
               for name in ("dataset_ref.csv", "dataset_dither.csv")]
     _, holdout = cli._split_datasets(series, 0.5)

@@ -279,6 +279,8 @@ def test_adaptation_leaves_the_given_state_and_nets_untouched(shipped_nets):
     assert not np.array_equal(ctrl.model.theta, given_theta)
     # the adapted nets are views of the adapted theta, and the caller's nets are not touched
     assert np.array_equal(theta_flatten(ctrl.model.f_net, ctrl.model.g_net), ctrl.model.theta)
+    assert all(np.shares_memory(w, ctrl.model.theta) for net in (ctrl.model.f_net, ctrl.model.g_net)
+               for w in (net.hidden_w, net.hidden_b, net.out_w, net.out_b))
     assert np.array_equal(theta_flatten(f_net, g_net), given_theta)
 
 

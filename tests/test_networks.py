@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl.networks import (Dataset, Mlp, _forward_batch, _jacobian_batch, lm_train,
-                               load_weights, mlp_forward, mse_cost,
+from smibctrl import networks
+from smibctrl.networks import (Dataset, Mlp, _forward_batch, _hidden_layers, _jacobian_batch,
+                               lm_train, load_weights, mlp_forward, mse_cost,
                                predict_batch, save_weights, theta_flatten, theta_unflatten,
                                weight_jacobian)
 
@@ -177,6 +178,12 @@ def fd_jacobian(f_net, g_net, z, u, h=1e-6):
     return out
 
 
+def jacobian_rows(f_net, g_net, Z, U, out=None):
+    """_jacobian_batch on the record-major regressors Z, hidden layers included."""
+    return _jacobian_batch(f_net, g_net, np.ascontiguousarray(Z.T), U,
+                           _hidden_layers(f_net, g_net, Z), out=out)
+
+
 def test_jacobian_matches_finite_differences():
     # the controller's single-row weight_jacobian and LM's multi-row _jacobian_batch
     rng = np.random.default_rng(11)
@@ -191,7 +198,7 @@ def test_jacobian_matches_finite_differences():
         worst = max(worst, np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric)))
         Z = np.vstack((others.uniform(-1.5, 1.5, size=13), z, others.uniform(-1.5, 1.5, size=13)))
         U = np.array([others.uniform(-1.0, 1.0), u, others.uniform(-1.0, 1.0)])
-        for row, z_k, u_k in zip(_jacobian_batch(f_net, g_net, Z, U), Z, U):
+        for row, z_k, u_k in zip(jacobian_rows(f_net, g_net, Z, U), Z, U):
             numeric = fd_jacobian(f_net, g_net, z_k, u_k)
             worst = max(worst, np.max(np.abs(row - numeric)) / np.max(np.abs(numeric)))
             single = weight_jacobian(f_net, g_net, z_k, u_k)
@@ -224,9 +231,9 @@ def test_jacobian_batch_matches_hstack_construction(p, n):
     U = rng.uniform(-1.0, 1.0, size=n)
     expected = hstack_jacobian(f_net, g_net, Z, U)
     assert expected.shape == (n, 2 * (15 * p + 1))
-    assert np.array_equal(_jacobian_batch(f_net, g_net, Z, U), expected)
+    assert np.array_equal(jacobian_rows(f_net, g_net, Z, U), expected)
     out = np.full(expected.T.shape, np.nan)     # parameter-major: one row per weight
-    jac = _jacobian_batch(f_net, g_net, Z, U, out=out)
+    jac = jacobian_rows(f_net, g_net, Z, U, out=out)
     assert jac.shape == expected.shape
     assert np.shares_memory(jac, out)
     assert np.array_equal(out, expected.T)
@@ -344,6 +351,98 @@ def test_lm_validates_arguments():
     f_net, g_net = random_net(), random_net(seed=1)
     with pytest.raises(ValueError):
         lm_train(f_net, g_net, make_dataset(10), max_iter=0)
+
+
+def lm_oracle(f_net, g_net, data, max_iter, cost_tol=0.0):
+    """lm_train's loop with three forward passes per iteration: the residual
+    from predict_batch, the Jacobian rows from _jacobian_batch on hidden
+    layers computed afresh, and every trial's cost from mse_cost.  Returns
+    theta, the cost history, the iteration count, each trial's cost and
+    whether it was accepted, and the final damping."""
+    p = f_net.n_hidden
+    theta = theta_flatten(f_net, g_net)
+    f_net, g_net = theta_unflatten(theta, p)
+    mu, cost = networks.LM_MU0, mse_cost(f_net, g_net, data)
+    history, trials, iteration = [cost], [], 0
+    identity = np.eye(theta.size)
+    for it in range(max_iter):
+        if cost <= cost_tol:
+            break
+        iteration = it + 1
+        e = predict_batch(f_net, g_net, data.z, data.u) - data.y_next
+        jt = jacobian_rows(f_net, g_net, data.z, data.u).T
+        jtj, jte = jt @ jt.T, jt @ e
+        accepted = False
+        for _ in range(60):
+            trial = theta + np.linalg.solve(jtj + mu * identity, -jte)
+            f_try, g_try = theta_unflatten(trial, p)
+            trial_cost = mse_cost(f_try, g_try, data)
+            accepted = bool(np.isfinite(trial_cost) and trial_cost < cost)
+            trials.append((trial_cost, accepted))
+            if accepted:
+                theta, cost, f_net, g_net = trial, trial_cost, f_try, g_try
+                mu = max(mu / 10.0, 1e-15)
+                break
+            mu *= 10.0
+            if mu > 1e15:
+                break
+        history.append(cost)
+        if not accepted:
+            break
+    return theta, history, iteration, trials, mu
+
+
+def _oracle_case(case):
+    """(f_net, g_net, data, max_iter, cost_tol) for one oracle comparison."""
+    if case == "damping saturation":   # as in _lm_case: no step is accepted at the end
+        rng = np.random.default_rng(1)
+        return Mlp.random(2, rng=rng), Mlp.random(2, rng=rng), make_dataset(10, seed=2), 500, 0.0
+    if case == "cost_tol":
+        f_net, g_net, data = random_net(seed=21), random_net(seed=22), make_dataset(60, seed=23)
+        return f_net, g_net, data, 40, lm_oracle(f_net, g_net, data, 10)[1][4]
+    p, n, seed = case
+    rng = np.random.default_rng(seed)
+    return Mlp.random(p, rng=rng), Mlp.random(p, rng=rng), make_dataset(n, seed=seed + 100), 40, 0.0
+
+
+@pytest.mark.parametrize("case", [(1, 30, 0), (3, 80, 1), (5, 150, 2), (8, 200, 3),
+                                  "cost_tol", "damping saturation"],
+                         ids=lambda c: c if isinstance(c, str) else "p{} n{} seed{}".format(*c))
+def test_lm_matches_the_three_forward_oracle(case, monkeypatch):
+    f_net, g_net, data, max_iter, cost_tol = _oracle_case(case)
+    theta, history, iteration, trials, mu = lm_oracle(f_net, g_net, data, max_iter, cost_tol)
+    # every forward pass lm_train makes after its starting point's is a trial
+    forwards = []
+    real_forward = networks._lm_forward
+
+    def spy(*args):
+        result = real_forward(*args)
+        forwards.append(result[0])
+        return result
+
+    monkeypatch.setattr(networks, "_lm_forward", spy)
+    f_fit, g_fit, state = lm_train(f_net, g_net, data, max_iter=max_iter, cost_tol=cost_tol)
+    costs = forwards[1:]
+    # a trial is accepted when it lowers the cost; accepted costs make up the history
+    accepted, current = [], state.cost_history[0]
+    for c in costs:
+        accepted.append(bool(np.isfinite(c) and c < current))
+        current = c if accepted[-1] else current
+    assert state.iteration == iteration
+    assert accepted == [a for _, a in trials]
+    assert 0 < accepted.count(False) and 0 < accepted.count(True)
+
+    def rel(a, b):
+        return np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
+
+    assert rel(costs, [c for c, _ in trials]) <= 1e-12
+    assert rel(state.cost_history, history) <= 1e-12
+    assert rel(theta_flatten(f_fit, g_fit), theta) <= 1e-12
+    assert state.mu == pytest.approx(mu, rel=1e-12)
+    if case == "cost_tol":
+        assert 0 < iteration < max_iter and history[-1] <= cost_tol < history[-2]
+    if case == "damping saturation":
+        assert mu > 1e15 and history[-1] == history[-2]
 
 
 def test_weight_file_roundtrip(tmp_path):
