@@ -62,10 +62,11 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     n_levels = -(-plan.n_samples // plan.hold)
     levels = rng.uniform(plan.u_min, plan.u_max, size=n_levels)
     u_series = levels[np.arange(plan.n_samples) // min(plan.hold, plan.n_samples)]
-    for k in range(plan.n_samples - 1):  # nothing reads the state after the last sample
+    # nothing reads the state after the last sample; Python floats keep the plant kernel fast
+    for k, u in enumerate(u_series[:-1].tolist()):
         y_series[k] = machine.terminal_voltage(x, params)
         try:
-            x = machine.advance(x, u_eq + u_series[k], plan.dt, params)
+            x = machine.advance(x, u_eq + u, plan.dt, params)
         except machine.DivergenceError as exc:
             raise machine.DivergenceError(f"simulation diverged at sample {k}") from exc
     y_series[-1] = machine.terminal_voltage(x, params)

@@ -266,7 +266,8 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
 
 
 def _floats(x) -> tuple:
-    return tuple(map(float, x))
+    """The state as a tuple of floats; a tuple, the kernels' own output, passes as it is."""
+    return x if type(x) is tuple else tuple(map(float, x))
 
 
 def terminal_voltage(x, params: MachineParams) -> float:

@@ -102,7 +102,7 @@ def weight_jacobian(f_net: Mlp, g_net: Mlp, z, u: float) -> np.ndarray:
     if z.shape != (REGRESSOR_LEN,):
         raise ValueError("regressor length does not match the networks")
     return _jacobian_batch(f_net, g_net, z[:, None], np.array([float(u)]),
-                           _hidden_layers(f_net, g_net, z[None]))[0]
+                           (_hidden(f_net, z[None]), _hidden(g_net, z[None])))[0]
 
 
 # --- dataset ----------------------------------------------------------------
@@ -130,8 +130,13 @@ class Dataset:
         return self.z.shape[0]
 
 
+def _hidden(net: Mlp, Z: np.ndarray) -> np.ndarray:
+    """The tanh hidden layer over the regressors Z, one row per record: (N, p)."""
+    return np.tanh(Z @ net.hidden_w.T + net.hidden_b)
+
+
 def _forward_batch(net: Mlp, Z: np.ndarray) -> np.ndarray:
-    return np.tanh(Z @ net.hidden_w.T + net.hidden_b) @ net.out_w + net.out_b
+    return _hidden(net, Z) @ net.out_w + net.out_b
 
 
 def predict_batch(f_net: Mlp, g_net: Mlp, Z: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -146,22 +151,12 @@ def mse_cost(f_net: Mlp, g_net: Mlp, data: Dataset) -> float:
     return float(0.5 * np.mean(e * e))
 
 
-def _hidden_layers(f_net: Mlp, g_net: Mlp, Z: np.ndarray):
-    """Both networks' tanh hidden layers over the (N, REGRESSOR_LEN) regressors
-    Z, unit-major: (p, N) arrays, so the bias add and tanh run along N.
-
-    The product reads Z through its transpose, the operand layout of
-    _forward_batch's Z @ hidden_w.T, so BLAS sums each entry in its order.
-    """
-    return tuple(np.tanh(net.hidden_w @ Z.T + net.hidden_b[:, None]) for net in (f_net, g_net))
-
-
 def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidden,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Rows of d(y_hat)/d(theta) for the whole batch, as an (N, n_theta) array.
 
     Zt holds the regressors as columns (best C-contiguous: each weight row
-    is filled along N) and hidden is _hidden_layers of the same records.
+    is filled along N) and hidden holds each network's _hidden of the same records.
     The entries live in one C-ordered (n_theta, N) array, one row per
     weight, and the result is its transpose; out, when given, is that array.
     """
@@ -169,8 +164,8 @@ def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidde
     w_end = p * REGRESSOR_LEN
     n = w_end + 2 * p + 1   # weights per network
     jt = np.empty((2 * n, N)) if out is None else out
-    for net, H, scale, rows in ((f_net, hidden[0], None, jt[:n]),
-                                (g_net, hidden[1], U, jt[n:])):
+    for net, H, scale, rows in ((f_net, hidden[0].T, None, jt[:n]),
+                                (g_net, hidden[1].T, U, jt[n:])):
         S = rows[w_end:w_end + p]
         np.multiply(1.0 - H * H, net.out_w[:, None], out=S)
         if scale is None:   # f's scale is 1: skipping x * 1.0 changes no bits
@@ -185,15 +180,9 @@ def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidde
 
 
 def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset):
-    """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers).
-
-    Each output layer sums over a record-major copy of its hidden layer, in
-    _forward_batch's order, so the cost and residual round as mse_cost's
-    and predict_batch's do.
-    """
-    hidden = _hidden_layers(f_net, g_net, data.z)
-    y_f, y_g = (np.ascontiguousarray(H.T) @ net.out_w + net.out_b
-                for net, H in zip((f_net, g_net), hidden))
+    """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers)."""
+    hidden = (_hidden(f_net, data.z), _hidden(g_net, data.z))
+    y_f, y_g = (H @ net.out_w + net.out_b for net, H in zip((f_net, g_net), hidden))
     e = data.y_next - (y_f + y_g * data.u)
     return float(0.5 * np.mean(e * e)), e, hidden
 
@@ -207,7 +196,11 @@ class LmState:
 
     mu: float
     cost_history: list = field(default_factory=list)
-    iteration: int = 0   # passes that took a step or tried to: len(cost_history) - 1
+
+    @property
+    def iteration(self) -> int:
+        """Passes that took a step or tried to."""
+        return len(self.cost_history) - 1
 
 
 def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
@@ -242,10 +235,9 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     # the residual and hidden layers at theta, from the last accepted forward pass
     _, residual, hidden = _lm_forward(f_net, g_net, data)
 
-    for it in range(max_iter):
+    for _ in range(max_iter):
         if cost <= cost_tol:
             break
-        state.iteration = it + 1
         _jacobian_batch(f_net, g_net, Zt, data.u, hidden, out=jt)
         jtj = jt @ jt.T
         jtr = jt @ residual   # -J'e

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smibctrl import machine
 from smibctrl.configio import (Key, fields_schema, parse_float, parse_str, read_config,
                                read_table, resolve_path)
 from smibctrl.identify import (ExcitationPlan, ValidationReport, build_regression_set,
@@ -32,6 +33,23 @@ def test_excitation_within_range(short_recording):
     u, y = short_recording
     assert len(u) == len(y) == 400
     assert np.all(u >= -0.1) and np.all(u <= 0.1)
+
+
+def test_recording_steps_the_plant_on_python_floats(ref_params, monkeypatch):
+    # the float kernel runs about three times slower on NumPy scalars, and the
+    # state tuple it returns passes to the next micro-step without a copy
+    seen, real = [], machine.rk4_step
+
+    def spy(x, u, dt, params):
+        seen.append((x, u))
+        return real(x, u, dt, params)
+
+    monkeypatch.setattr(machine, "rk4_step", spy)
+    excite_and_record(ref_params, ExcitationPlan(n_samples=20, seed=5))
+    assert len(seen) == machine.MICRO_STEPS * 19
+    assert {type(u) for _, u in seen} == {float}
+    assert {type(x) for x, _ in seen[1:]} == {tuple}
+    assert all(machine._floats(x) is x for x, _ in seen[1:])
 
 
 def test_excitation_deterministic(ref_params, short_recording):

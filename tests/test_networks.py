@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smibctrl import networks
-from smibctrl.networks import (Dataset, Mlp, _forward_batch, _hidden_layers, _jacobian_batch,
+from smibctrl import cli, networks
+from smibctrl.networks import (Dataset, Mlp, _forward_batch, _hidden, _jacobian_batch,
                                lm_train, load_weights, mlp_forward, mse_cost,
                                predict_batch, save_weights, theta_flatten, theta_unflatten,
                                weight_jacobian)
 
-from conftest import predict_one
+from conftest import config_path, predict_one
 
 
 def random_net(p=5, seed=0):
@@ -181,7 +181,7 @@ def fd_jacobian(f_net, g_net, z, u, h=1e-6):
 def jacobian_rows(f_net, g_net, Z, U, out=None):
     """_jacobian_batch on the record-major regressors Z, hidden layers included."""
     return _jacobian_batch(f_net, g_net, np.ascontiguousarray(Z.T), U,
-                           _hidden_layers(f_net, g_net, Z), out=out)
+                           (_hidden(f_net, Z), _hidden(g_net, Z)), out=out)
 
 
 def test_jacobian_matches_finite_differences():
@@ -390,6 +390,20 @@ def lm_oracle(f_net, g_net, data, max_iter, cost_tol=0.0):
         if not accepted:
             break
     return theta, history, iteration, trials, mu
+
+
+@pytest.mark.parametrize("start", ["shipped weights", "seed 42"])
+def test_lm_forward_is_mse_cost_and_predict_batch_at_full_size(start, shipped_nets):
+    # bitwise, on all of train_ref.cfg's training records
+    _, train, _ = cli._read_training_config(config_path("train_ref.cfg"))
+    assert len(train) == 6992
+    f_net, g_net = shipped_nets
+    if start == "seed 42":   # the networks train starts from
+        rng = np.random.default_rng(42)
+        f_net, g_net = Mlp.random(5, rng=rng), Mlp.random(5, rng=rng)
+    cost, residual, _ = networks._lm_forward(f_net, g_net, train)
+    assert cost == mse_cost(f_net, g_net, train)
+    assert np.array_equal(residual, train.y_next - predict_batch(f_net, g_net, train.z, train.u))
 
 
 def _oracle_case(case):
