@@ -14,9 +14,9 @@ retrained weights on the holdout that train_ref.cfg keeps out of training,
 and prints their largest weight difference from configs/narx_ref.nwt against
 the 1e-7 weight gate; the script exits 1 above it.  The committed weights
 and cost history are never overwritten: the retrained weights land about
-2e-8 from them (2.2e-8 with one BLAS thread), because the committed file was
+2.8e-8 from them, because the committed file was
 trained on datasets recorded with LU solves, which differ from today's by up
-to 2.1e-10, and with J'e summed in another order.  That is inside the
+to 2.1e-10, and with J'J and J'e summed in another order.  That is inside the
 weight gate, but the retrained weights would move the closed-loop traces by
 up to 1.8e-8, over their 1e-10 gate, so commit the regenerated datasets and
 traces only.

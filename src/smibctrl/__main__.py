@@ -1,3 +1,19 @@
-from .cli import main
+"""`python -m smibctrl` and the `smibctrl` console script.
 
-main()
+BLAS is pinned to one thread before numpy loads: lm_train runs its record
+blocks on threads of its own, and OpenBLAS threads on top of them would
+oversubscribe the cores and make the trained weights depend on the
+machine's BLAS thread count.  A count the caller sets explicitly wins.
+"""
+
+import os
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+for var in BLAS_THREAD_VARS:
+    os.environ.setdefault(var, "1")
+
+from .cli import main  # noqa: E402  (loads numpy, after the pin)
+
+if __name__ == "__main__":
+    main()

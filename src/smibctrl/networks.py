@@ -9,6 +9,9 @@ prediction error.
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,15 +182,62 @@ def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidde
     return jt.T
 
 
-def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset):
-    """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers)."""
-    hidden = (_hidden(f_net, data.z), _hidden(g_net, data.z))
-    y_f, y_g = (H @ net.out_w + net.out_b for net, H in zip((f_net, g_net), hidden))
-    e = data.y_next - (y_f + y_g * data.u)
+def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset, map_blocks=None):
+    """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers).
+
+    map_blocks, lm_train's block runner, splits the pass over its record
+    blocks: each block writes its rows of the residual and of both hidden
+    layers into the full-length arrays.  Without it the batch is one block.
+    """
+    n = len(data)
+    e = np.empty(n)
+    hidden = (np.empty((n, f_net.n_hidden)), np.empty((n, g_net.n_hidden)))
+
+    def forward_rows(rows):
+        y = []
+        for net, H in zip((f_net, g_net), hidden):
+            H[rows] = _hidden(net, data.z[rows])
+            y.append(H[rows] @ net.out_w + net.out_b)
+        e[rows] = data.y_next[rows] - (y[0] + y[1] * data.u[rows])
+
+    if map_blocks is None:
+        forward_rows(slice(None))
+    else:
+        map_blocks(forward_rows)
     return float(0.5 * np.mean(e * e)), e, hidden
 
 
 LM_MU0 = 1e-2   # initial Levenberg-Marquardt damping
+LM_BLOCK_RECORDS = 4096   # most records in one of lm_train's record blocks
+
+
+def _blocks(n: int) -> list:
+    """ceil(n / LM_BLOCK_RECORDS) contiguous slices of near-equal size covering [0, n)."""
+    k = -(-n // LM_BLOCK_RECORDS)
+    return [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
+
+
+def _run_blocks(pool, fn, per_block) -> list:
+    """[fn(*args) for args in per_block], one pool task each, results in block order.
+
+    Each task runs in a copy of the caller's context: NumPy keeps errstate
+    in a contextvar, which a new thread does not inherit.
+    """
+    tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in per_block]
+    return [task.result() for task in tasks]
+
+
+def _block_normal_equations(f_net: Mlp, g_net: Mlp, u, hidden, residual,
+                            rows, zt, jt, jtj, jtr):
+    """One record block's J_b'J_b and -J_b'e_b, written into jtj and jtr.
+
+    zt is the block's slice of Z', jt its (n_theta, N_b) Jacobian buffer,
+    and hidden and residual are full-length: rows picks the block's records.
+    """
+    _jacobian_batch(f_net, g_net, zt, u[rows], (hidden[0][rows], hidden[1][rows]), out=jt)
+    np.matmul(jt, jt.T, out=jtj)
+    np.matmul(jt, residual[rows], out=jtr)
+    return jtj, jtr
 
 
 @dataclass
@@ -212,6 +262,11 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     on an accepted step and multiplied by 10 while a trial step increases
     the cost.  Each trial is one forward pass, and the accepted trial's
     residual and hidden layers give the next iteration's J'e and J.
+    J'J and J'e are summed in block order over _blocks(N), contiguous
+    record blocks set by N alone, and each trial's forward pass writes the
+    blocks' rows into one full-length residual.  The blocks run on
+    min(blocks, cpu_count) pool threads: the result does not depend on the
+    worker count, and a set of one block trains as one full batch.
     Returns (f_net, g_net, LmState), the networks views of the final
     theta.  The accepted-step cost sequence is non-increasing, so a finite
     starting cost, which TrainingError enforces, stays finite.
@@ -220,6 +275,8 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
         raise ValueError("dataset is empty")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    from concurrent.futures import ThreadPoolExecutor   # loaded only when a model trains
+
     p = f_net.n_hidden
     theta = theta_flatten(f_net, g_net)
     f_net, g_net = theta_unflatten(theta, p)   # unequal hidden sizes fail here
@@ -230,42 +287,53 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
         raise TrainingError(f"starting cost is not finite: {cost}")
     state.cost_history.append(cost)
     identity = np.eye(theta.size)
-    Zt = np.ascontiguousarray(data.z.T)
-    jt = np.empty((theta.size, len(data)))   # J', refilled every iteration
-    # the residual and hidden layers at theta, from the last accepted forward pass
-    _, residual, hidden = _lm_forward(f_net, g_net, data)
+    blocks = _blocks(len(data))
+    # each block's Z', J' (refilled every iteration), J_b'J_b and -J_b'e_b
+    buffers = [(rows, np.ascontiguousarray(data.z[rows].T),
+                np.empty((theta.size, rows.stop - rows.start)),
+                np.empty((theta.size, theta.size)), np.empty(theta.size)) for rows in blocks]
 
-    for _ in range(max_iter):
-        if cost <= cost_tol:
-            break
-        _jacobian_batch(f_net, g_net, Zt, data.u, hidden, out=jt)
-        jtj = jt @ jt.T
-        jtr = jt @ residual   # -J'e
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(jtj + state.mu * identity, jtr)
-            except np.linalg.LinAlgError as exc:
-                cond = np.linalg.cond(jtj + state.mu * identity)
-                raise TrainingError(
-                    f"normal-equation solve failed at mu={state.mu:.3e}, cond~{cond:.3e}"
-                ) from exc
-            trial = theta + step
-            f_try, g_try = theta_unflatten(trial, p)
-            trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data)
-            if np.isfinite(trial_cost) and trial_cost < cost:
-                theta, cost = trial, trial_cost
-                f_net, g_net = f_try, g_try
-                residual, hidden = trial_residual, trial_hidden
-                state.mu = max(state.mu / 10.0, 1e-15)
-                accepted = True
+    with ThreadPoolExecutor(min(len(blocks), os.cpu_count() or 1)) as pool:
+        def map_blocks(fn):
+            return _run_blocks(pool, fn, ((rows,) for rows in blocks))
+
+        # the residual and hidden layers at theta, from the last accepted forward pass
+        _, residual, hidden = _lm_forward(f_net, g_net, data, map_blocks)
+        for _ in range(max_iter):
+            if cost <= cost_tol:
                 break
-            state.mu *= 10.0
-            if state.mu > 1e15:
-                break
-        state.cost_history.append(cost)
-        if not accepted:
-            break  # damping saturated: we are at a (numerical) minimum
+            parts = _run_blocks(pool, functools.partial(
+                _block_normal_equations, f_net, g_net, data.u, hidden, residual), buffers)
+            jtj, jtr = parts[0]   # jtr = -J'e
+            for block_jtj, block_jtr in parts[1:]:
+                jtj += block_jtj
+                jtr += block_jtr
+            accepted = False
+            for _ in range(60):
+                try:
+                    step = np.linalg.solve(jtj + state.mu * identity, jtr)
+                except np.linalg.LinAlgError as exc:
+                    cond = np.linalg.cond(jtj + state.mu * identity)
+                    raise TrainingError(
+                        f"normal-equation solve failed at mu={state.mu:.3e}, cond~{cond:.3e}"
+                    ) from exc
+                trial = theta + step
+                f_try, g_try = theta_unflatten(trial, p)
+                trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data,
+                                                                       map_blocks)
+                if np.isfinite(trial_cost) and trial_cost < cost:
+                    theta, cost = trial, trial_cost
+                    f_net, g_net = f_try, g_try
+                    residual, hidden = trial_residual, trial_hidden
+                    state.mu = max(state.mu / 10.0, 1e-15)
+                    accepted = True
+                    break
+                state.mu *= 10.0
+                if state.mu > 1e15:
+                    break
+            state.cost_history.append(cost)
+            if not accepted:
+                break  # damping saturated: we are at a (numerical) minimum
     return f_net, g_net, state
 
 

@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -457,6 +459,123 @@ def test_lm_matches_the_three_forward_oracle(case, monkeypatch):
         assert 0 < iteration < max_iter and history[-1] <= cost_tol < history[-2]
     if case == "damping saturation":
         assert mu > 1e15 and history[-1] == history[-2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 6992] + [k * networks.LM_BLOCK_RECORDS + d
+                                                    for k, d in ((1, 0), (1, 1), (2, 0),
+                                                                 (2, 1), (5, 3))])
+def test_blocks_are_contiguous_near_equal_and_cover_the_records(n):
+    blocks = networks._blocks(n)
+    assert len(blocks) == math.ceil(n / networks.LM_BLOCK_RECORDS)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= networks.LM_BLOCK_RECORDS
+    assert all(b.step is None for b in blocks)
+    if n <= networks.LM_BLOCK_RECORDS:
+        assert blocks == [slice(0, n)]
+
+
+def blocked_case():
+    """Networks and a dataset of two record blocks."""
+    rng = np.random.default_rng(7)
+    return (Mlp.random(3, rng=rng), Mlp.random(3, rng=rng),
+            make_dataset(networks.LM_BLOCK_RECORDS + 1000, seed=8))
+
+
+def test_lm_result_does_not_depend_on_the_worker_count(monkeypatch):
+    f_net, g_net, data = blocked_case()
+    assert len(networks._blocks(len(data))) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    f_one, g_one, one = lm_train(f_net, g_net, data, max_iter=6)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    f_two, g_two, two = lm_train(f_net, g_net, data, max_iter=6)
+    assert np.array_equal(theta_flatten(f_two, g_two), theta_flatten(f_one, g_one))
+    assert two.cost_history == one.cost_history and two.mu == one.mu
+    assert two.iteration == 6
+
+
+def test_more_block_workers_than_cores_lose_no_rows(monkeypatch):
+    # four blocks on four workers, switching threads every microsecond: each block's
+    # rows of the shared residual and hidden layers are its own
+    rng = np.random.default_rng(9)
+    f_net, g_net = Mlp.random(2, rng=rng), Mlp.random(2, rng=rng)
+    data = make_dataset(3 * networks.LM_BLOCK_RECORDS + 5, seed=10)
+    assert len(networks._blocks(len(data))) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    f_one, g_one, one = lm_train(f_net, g_net, data, max_iter=4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        f_fit, g_fit, state = lm_train(f_net, g_net, data, max_iter=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(theta_flatten(f_fit, g_fit), theta_flatten(f_one, g_one))
+    assert state.cost_history == one.cost_history and state.iteration == 4
+    assert state.cost_history[-1] == mse_cost(f_fit, g_fit, data)
+
+
+def test_lm_first_step_solves_the_block_summed_normal_equations(monkeypatch):
+    # the test-side oracle sums each block's J_b'J_b and J_b'e_b in block order
+    f_net, g_net, data = blocked_case()
+    half = len(data) // 2
+    assert networks._blocks(len(data)) == [slice(0, half), slice(half, len(data))]
+    e = predict_batch(f_net, g_net, data.z, data.u) - data.y_next
+    jtj, jte = 0.0, 0.0
+    for rows in (slice(0, half), slice(half, None)):
+        jt = jacobian_rows(f_net, g_net, data.z[rows], data.u[rows]).T
+        jtj, jte = jtj + jt @ jt.T, jte + jt @ e[rows]
+    theta = theta_flatten(f_net, g_net)
+    expected = theta + np.linalg.solve(jtj + networks.LM_MU0 * np.eye(theta.size), -jte)
+
+    trials, real_forward = [], networks._lm_forward
+
+    def spy(*args):
+        result = real_forward(*args)
+        trials.append((theta_flatten(*args[:2]), result[0]))
+        return result
+
+    monkeypatch.setattr(networks, "_lm_forward", spy)
+    f_fit, g_fit, state = lm_train(f_net, g_net, data, max_iter=1)
+    first_trial, first_cost = trials[1]
+    assert np.array_equal(first_trial, expected)
+    # the blocks' rows make up one residual: the trial's cost is mse_cost's, bit for bit
+    assert first_cost == mse_cost(*theta_unflatten(first_trial, f_net.n_hidden), data)
+    assert state.cost_history[1] < state.cost_history[0]
+    assert np.array_equal(theta_flatten(f_fit, g_fit), expected)
+
+
+def test_block_workers_run_under_the_callers_errstate(monkeypatch):
+    f_net, g_net, data = blocked_case()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen, real_hidden = [], networks._hidden
+
+    def spy(net, Z):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return real_hidden(net, Z)
+
+    monkeypatch.setattr(networks, "_hidden", spy)
+    with np.errstate(over="ignore", divide="ignore"):
+        caller = np.geterr()
+        lm_train(f_net, g_net, data, max_iter=1)
+    in_workers = [err for main, err in seen if not main]
+    assert in_workers and all(err == caller for err in in_workers)
+    assert caller != np.geterr()
+
+
+def test_training_error_closes_the_block_pool(monkeypatch):
+    f_net, g_net, data = blocked_case()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads = threading.active_count()
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(networks.TrainingError, match="normal-equation solve failed"):
+        lm_train(f_net, g_net, data, max_iter=3)
+    assert threading.active_count() == threads
 
 
 def test_weight_file_roundtrip(tmp_path):
