@@ -14,25 +14,30 @@ retrained weights on the holdout that train_ref.cfg keeps out of training,
 and prints their largest weight difference from configs/narx_ref.nwt against
 the 1e-7 weight gate; the script exits 1 above it.  The committed weights
 and cost history are never overwritten: the retrained weights land about
-2.8e-8 from them, because the committed file was
-trained on datasets recorded with LU solves, which differ from today's by up
-to 2.1e-10, and with J'J and J'e summed in another order.  That is inside the
-weight gate, but the retrained weights would move the closed-loop traces by
-up to 1.8e-8, over their 1e-10 gate, so commit the regenerated datasets and
-traces only.
+2.8e-8 from them, because the committed file was trained on datasets
+recorded with LU solves, which differ from today's by up to 2.1e-10, and
+with J'J and J'e summed in another order.  That is inside the weight gate,
+but the retrained weights would move the closed-loop traces by up to
+1.8e-8, over their 1e-10 gate, so commit the regenerated datasets and
+traces only.  Like the smibctrl entry point, the script pins BLAS to one
+thread unless the environment sets a count.
 """
 
 import os
 import sys
 import tempfile
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from smibctrl.cli import cli_dispatch
-from smibctrl.networks import load_weights, theta_flatten
-from smibctrl.scenarios import Trace, damping_metric
+from smibctrl.blas import pin_blas_threads
+
+pin_blas_threads()   # before numpy loads, as the smibctrl entry point does
+
+import numpy as np  # noqa: E402
+
+from smibctrl.cli import cli_dispatch  # noqa: E402
+from smibctrl.networks import load_weights, theta_flatten  # noqa: E402
+from smibctrl.scenarios import Trace, damping_metric  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(ROOT, "results")

@@ -1,17 +1,12 @@
 """`python -m smibctrl` and the `smibctrl` console script.
 
-BLAS is pinned to one thread before numpy loads: lm_train runs its record
-blocks on threads of its own, and OpenBLAS threads on top of them would
-oversubscribe the cores and make the trained weights depend on the
-machine's BLAS thread count.  A count the caller sets explicitly wins.
+BLAS is pinned to one thread (blas.pin_blas_threads) before numpy loads; a
+count the caller sets explicitly wins.
 """
 
-import os
+from .blas import pin_blas_threads
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-for var in BLAS_THREAD_VARS:
-    os.environ.setdefault(var, "1")
+pin_blas_threads()
 
 from .cli import main  # noqa: E402  (loads numpy, after the pin)
 

@@ -182,12 +182,12 @@ def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidde
     return jt.T
 
 
-def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset, map_blocks=None):
+def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset, pool=None):
     """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers).
 
-    map_blocks, lm_train's block runner, splits the pass over its record
-    blocks: each block writes its rows of the residual and of both hidden
-    layers into the full-length arrays.  Without it the batch is one block.
+    The pass runs over lm_train's record blocks, _blocks(N), on pool when
+    given (see _run_blocks): each block writes its rows of the residual and
+    of both hidden layers into the full-length arrays.
     """
     n = len(data)
     e = np.empty(n)
@@ -200,10 +200,7 @@ def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset, map_blocks=None):
             y.append(H[rows] @ net.out_w + net.out_b)
         e[rows] = data.y_next[rows] - (y[0] + y[1] * data.u[rows])
 
-    if map_blocks is None:
-        forward_rows(slice(None))
-    else:
-        map_blocks(forward_rows)
+    _run_blocks(pool, forward_rows, [(rows,) for rows in _blocks(n)])
     return float(0.5 * np.mean(e * e)), e, hidden
 
 
@@ -217,12 +214,15 @@ def _blocks(n: int) -> list:
     return [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
 
 
-def _run_blocks(pool, fn, per_block) -> list:
-    """[fn(*args) for args in per_block], one pool task each, results in block order.
+def _run_blocks(pool, fn, per_block: list) -> list:
+    """[fn(*args) for args in per_block], results in block order.
 
-    Each task runs in a copy of the caller's context: NumPy keeps errstate
-    in a contextvar, which a new thread does not inherit.
+    A single block, or no pool, runs inline on the calling thread; otherwise
+    each block is one pool task, run in a copy of the caller's context:
+    NumPy keeps errstate in a contextvar, which a new thread does not inherit.
     """
+    if pool is None or len(per_block) == 1:
+        return [fn(*args) for args in per_block]
     tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in per_block]
     return [task.result() for task in tasks]
 
@@ -264,9 +264,10 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     residual and hidden layers give the next iteration's J'e and J.
     J'J and J'e are summed in block order over _blocks(N), contiguous
     record blocks set by N alone, and each trial's forward pass writes the
-    blocks' rows into one full-length residual.  The blocks run on
-    min(blocks, cpu_count) pool threads: the result does not depend on the
-    worker count, and a set of one block trains as one full batch.
+    blocks' rows into one full-length residual.  Two or more blocks run on
+    min(blocks, cpu_count) pool threads, and the result does not depend on
+    the worker count; a set of one block trains on the calling thread as
+    one full batch.
     Returns (f_net, g_net, LmState), the networks views of the final
     theta.  The accepted-step cost sequence is non-increasing, so a finite
     starting cost, which TrainingError enforces, stays finite.
@@ -294,11 +295,8 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                 np.empty((theta.size, theta.size)), np.empty(theta.size)) for rows in blocks]
 
     with ThreadPoolExecutor(min(len(blocks), os.cpu_count() or 1)) as pool:
-        def map_blocks(fn):
-            return _run_blocks(pool, fn, ((rows,) for rows in blocks))
-
         # the residual and hidden layers at theta, from the last accepted forward pass
-        _, residual, hidden = _lm_forward(f_net, g_net, data, map_blocks)
+        _, residual, hidden = _lm_forward(f_net, g_net, data, pool)
         for _ in range(max_iter):
             if cost <= cost_tol:
                 break
@@ -319,8 +317,7 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                     ) from exc
                 trial = theta + step
                 f_try, g_try = theta_unflatten(trial, p)
-                trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data,
-                                                                       map_blocks)
+                trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data, pool)
                 if np.isfinite(trial_cost) and trial_cost < cost:
                     theta, cost = trial, trial_cost
                     f_net, g_net = f_try, g_try

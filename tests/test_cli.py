@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smibctrl import cli, identify, networks, scenarios
+from smibctrl.blas import BLAS_THREAD_VARS
 from smibctrl.cli import cli_dispatch
 from smibctrl.machine import MachineParams
 from smibctrl.scenarios import EVENT_ACTIONS
@@ -18,7 +19,8 @@ from smibctrl.scenarios import EVENT_ACTIONS
 from conftest import config_path
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PIPELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts",
+                        "run_pipeline.py")
 
 
 def write_small_identify(tmp_path, seed=3):
@@ -144,6 +146,25 @@ def test_an_explicit_blas_thread_count_wins_over_the_entry_points_pin():
     code = ("import os, smibctrl.__main__; "
             f"print(*(os.environ.get(var) for var in {BLAS_THREAD_VARS}))")
     assert run_python(["-c", code], OPENBLAS_NUM_THREADS="3").split() == ["3", "1", "1"]
+
+
+def test_the_pipeline_script_pins_blas_before_numpy_loads():
+    # loading scripts/run_pipeline.py runs no stage; a meta-path finder reads the
+    # BLAS thread variables at the moment numpy is first imported
+    code = "\n".join([
+        "import importlib.util, os, sys",
+        "seen = []",
+        "class Watch:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name == 'numpy':",
+        f"            seen.append([os.environ.get(var) for var in {BLAS_THREAD_VARS}])",
+        "sys.meta_path.insert(0, Watch())",
+        f"spec = importlib.util.spec_from_file_location('pipeline', {PIPELINE!r})",
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))",
+        "print(*seen[0])",
+    ])
+    assert run_python(["-c", code]).split() == ["1", "1", "1"]
+    assert run_python(["-c", code], MKL_NUM_THREADS="2").split() == ["1", "1", "2"]
 
 
 def test_train_ref_retrains_the_committed_weights(tmp_path):

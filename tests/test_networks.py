@@ -564,6 +564,23 @@ def test_block_workers_run_under_the_callers_errstate(monkeypatch):
     assert caller != np.geterr()
 
 
+def test_one_block_trains_on_the_calling_thread(monkeypatch):
+    # a set of LM_BLOCK_RECORDS records is one block: no pool task, no worker thread
+    rng = np.random.default_rng(11)
+    f_net, g_net = Mlp.random(2, rng=rng), Mlp.random(2, rng=rng)
+    data = make_dataset(networks.LM_BLOCK_RECORDS, seed=12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads, real_hidden = set(), networks._hidden
+
+    def spy(net, Z):
+        threads.add(threading.current_thread())
+        return real_hidden(net, Z)
+
+    monkeypatch.setattr(networks, "_hidden", spy)
+    lm_train(f_net, g_net, data, max_iter=2)
+    assert threads == {threading.current_thread()}
+
+
 def test_training_error_closes_the_block_pool(monkeypatch):
     f_net, g_net, data = blocked_case()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
