@@ -36,6 +36,7 @@ pin_blas_threads()   # before numpy loads, as the smibctrl entry point does
 import numpy as np  # noqa: E402
 
 from smibctrl.cli import cli_dispatch  # noqa: E402
+from smibctrl.machine import V_NOMINAL  # noqa: E402
 from smibctrl.networks import load_weights, theta_flatten  # noqa: E402
 from smibctrl.scenarios import Trace, damping_metric  # noqa: E402
 
@@ -89,7 +90,7 @@ def main():
         print(f"{scenario}: max tracking error {100 * np.max(rel):.4f} % from 4 s on")
     swing = traces["scen_big_swing.cfg"]
     err_top = 100 * abs(swing.v_t[swing.at_time(2.5)] - 2.0) / 2.0
-    err_end = 100 * abs(swing.v_t[-1] - 1.1392) / 1.1392
+    err_end = 100 * abs(swing.v_t[-1] - V_NOMINAL) / V_NOMINAL
     print(f"big swing: error {err_top:.4f} % at the 2.0 pu plateau, "
           f"{err_end:.4f} % after the return")
     run("compare", os.path.join(RESULTS, "step_nominal_neural.csv"),

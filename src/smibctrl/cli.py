@@ -20,7 +20,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_MINPHASE_GRID = (1.0, 1.1392, 1.5, 2.0)
+DEFAULT_MINPHASE_GRID = (1.0, machine.V_NOMINAL, 1.5, 2.0)
 
 
 def _read_dataset_csv(path):
@@ -31,13 +31,11 @@ def _read_dataset_csv(path):
 def cmd_identify(args) -> int:
     values = read_config(args.config, "identify", {
         "machine": Key(parse_str),
-        "v_target": Key(parse_float, 1.1392),
+        "v_target": Key(parse_float, machine.V_NOMINAL),
         **fields_schema(identify.ExcitationPlan),
     })
     params = machine.load_machine_config(resolve_path(args.config, values.pop("machine")))
     v_target = values.pop("v_target")
-    if args.seed is not None:
-        values["seed"] = args.seed
     try:
         plan = identify.ExcitationPlan(**values)
     except ValueError as exc:
@@ -77,7 +75,6 @@ def _read_training_config(path):
         "dataset": Key(parse_str, repeat=True),
         "hidden": Key(parse_int, 5),
         "max_iter": Key(parse_int, 150),
-        "cost_tol": Key(parse_float, 0.0),
         "train_fraction": Key(parse_float, 0.5),
         "seed": Key(parse_int, 0),
     })
@@ -93,11 +90,10 @@ def cmd_train(args) -> int:
     # lm_train reports solver failures as TrainingError, bad arguments as ValueError;
     # a network too big to allocate is a config error too.
     try:
-        rng = np.random.default_rng(args.seed if args.seed is not None else values["seed"])
+        rng = np.random.default_rng(values["seed"])
         f0 = networks.Mlp.random(values["hidden"], rng=rng)
         g0 = networks.Mlp.random(values["hidden"], rng=rng)
-        f_net, g_net, state = networks.lm_train(f0, g0, train, max_iter=values["max_iter"],
-                                                cost_tol=values["cost_tol"])
+        f_net, g_net, state = networks.lm_train(f0, g0, train, max_iter=values["max_iter"])
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"invalid train config {args.config}: {exc}") from exc
     networks.save_weights(args.out, f_net, g_net)
@@ -175,11 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    for seeded in (add("identify", cmd_identify, "record an excitation dataset from the plant",
-                       needs_out=True),
-                   add("train", cmd_train, "fit the two-network model to recorded datasets",
-                       needs_out=True)):
-        seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
+    add("identify", cmd_identify, "record an excitation dataset from the plant", needs_out=True)
+    add("train", cmd_train, "fit the two-network model to recorded datasets", needs_out=True)
     scored = add("validate", cmd_validate, "score weights on the holdout of their train config")
     scored.add_argument("--weights", required=True, help="weight file to score")
     add("minphase", cmd_minphase, "tabulate transmission zeros over operating points")

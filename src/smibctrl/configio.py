@@ -51,21 +51,21 @@ def read_pairs(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def read_config(path, kind: str, schema: dict, error=ConfigError) -> dict:
+def read_config(path, kind: str, schema: dict) -> dict:
     """Map each key of the {key: Key} schema to its parsed value or default;
-    unknown and missing required keys raise `error`, duplicates ConfigError."""
+    unknown, missing required and duplicate keys raise ConfigError."""
     repeatable = {key for key, spec in schema.items() if spec.repeat}
     raw = as_map(read_pairs(path), repeatable=repeatable, kind=f"{kind} config")
     for key in raw:
         if key not in schema:
-            raise error(f"unknown {kind} config key {key!r}")
+            raise ConfigError(f"unknown {kind} config key {key!r}")
     values = {}
     for key, spec in schema.items():
         if key in raw:
             values[key] = ([spec.parse(key, v) for v in raw[key]] if spec.repeat
                            else spec.parse(key, raw[key]))
         elif spec.default is MISSING:
-            raise error(f"{kind} config is missing the {key!r} key")
+            raise ConfigError(f"{kind} config is missing the {key!r} key")
         else:
             values[key] = spec.default
     return values

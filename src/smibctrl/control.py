@@ -48,12 +48,9 @@ def synthesize_poly(poles) -> PolePlacement:
     for z in poles:
         if abs(z) >= 1.0:
             raise ValueError(f"pole {z} is not strictly inside the unit circle")
-    remaining = list(poles)
     for z in poles:
-        if abs(z.imag) > 0:
-            matches = [w for w in remaining if abs(w - z.conjugate()) < 1e-12]
-            if not matches:
-                raise ValueError("pole set is not closed under conjugation")
+        if abs(z.imag) > 0 and not any(abs(w - z.conjugate()) < 1e-12 for w in poles):
+            raise ValueError("pole set is not closed under conjugation")
     # np.poly's rounding moves the coefficients by at most 2 p eps prod(1 + |z_i|)
     # in total, while |Q(z)| >= prod(1 - |z_i|) on the unit circle.  With the first
     # under 1% of the second the stored polynomial keeps every root inside the

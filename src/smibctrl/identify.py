@@ -45,7 +45,7 @@ class ExcitationPlan:
 
 
 def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
-                      v_target: float = 1.1392):
+                      v_target: float = machine.V_NOMINAL):
     """Simulate the plant under the excitation plan.
 
     The simulation starts at the equilibrium for v_target; the recorded

@@ -22,6 +22,7 @@ from .configio import ConfigError, fields_schema, read_config
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
 MICRO_STEPS = 4  # RK4 micro-steps per control period
+V_NOMINAL = 1.1392  # the reference machine's nominal terminal voltage, pu
 
 
 class SingularInductanceError(ValueError):

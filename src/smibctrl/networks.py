@@ -260,8 +260,9 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     Iterates theta <- theta + s with (J'J + mu I) s = -J'e over the whole
     batch, where e is the prediction error y_hat - y.  mu is divided by 10
     on an accepted step and multiplied by 10 while a trial step increases
-    the cost.  Each trial is one forward pass, and the accepted trial's
-    residual and hidden layers give the next iteration's J'e and J.
+    the cost; training stops once it passes 1e15.  Each trial is one
+    forward pass, and the accepted trial's residual and hidden layers give
+    the next iteration's J'e and J.
     J'J and J'e are summed in block order over _blocks(N), contiguous
     record blocks set by N alone, and each trial's forward pass writes the
     blocks' rows into one full-length residual.  Two or more blocks run on
@@ -307,7 +308,7 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                 jtj += block_jtj
                 jtr += block_jtr
             accepted = False
-            for _ in range(60):
+            while not accepted and state.mu <= 1e15:
                 try:
                     step = np.linalg.solve(jtj + state.mu * identity, jtr)
                 except np.linalg.LinAlgError as exc:
@@ -324,10 +325,8 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                     residual, hidden = trial_residual, trial_hidden
                     state.mu = max(state.mu / 10.0, 1e-15)
                     accepted = True
-                    break
-                state.mu *= 10.0
-                if state.mu > 1e15:
-                    break
+                else:
+                    state.mu *= 10.0
             state.cost_history.append(cost)
             if not accepted:
                 break  # damping saturated: we are at a (numerical) minimum

@@ -27,10 +27,6 @@ EVENT_ACTIONS = ("set_vref", "scale_H", "set_Pm")
 EVENT_TIME_TOL = 1e-12  # an event applies at the first instant t with time <= t + tol
 
 
-class ScenarioError(ConfigError):
-    """Malformed scenario description."""
-
-
 @dataclass(frozen=True)
 class Event:
     time: float
@@ -55,26 +51,26 @@ class ScenarioConfig:
     controller_path: str
     t_end: float
     dt_control: float = 0.002
-    v_ref: float = 1.1392
+    v_ref: float = machine.V_NOMINAL
     events: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.dt_control / machine.MICRO_STEPS > 0.0:  # 5e-324 would give steps of 0.0
-            raise ScenarioError(f"dt_control must be positive with dt_control"
-                                f" / {machine.MICRO_STEPS} > 0, got {self.dt_control}")
+            raise ConfigError(f"dt_control must be positive with dt_control"
+                              f" / {machine.MICRO_STEPS} > 0, got {self.dt_control}")
         if not 1.0 <= self.t_end / self.dt_control < math.inf:
-            raise ScenarioError("t_end must be finite and at least dt_control")
+            raise ConfigError("t_end must be finite and at least dt_control")
         times = [e.time for e in self.events]
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ScenarioError("event times must be non-decreasing")
+            raise ConfigError("event times must be non-decreasing")
         t_last = (self.n_steps - 1) * self.dt_control  # the last control instant
         if not all(0.0 <= e.time <= t_last + EVENT_TIME_TOL for e in self.events):
-            raise ScenarioError(f"event times must lie within [0, {t_last:g}]")
+            raise ConfigError(f"event times must lie within [0, {t_last:g}]")
         for e in self.events:
             if e.action not in EVENT_ACTIONS:
-                raise ScenarioError(f"unknown event action {e.action!r}")
+                raise ConfigError(f"unknown event action {e.action!r}")
             if e.action == "scale_H" and not e.value > 0.0:
-                raise ScenarioError(f"scale_H factor must be positive, got {e.value}")
+                raise ConfigError(f"scale_H factor must be positive, got {e.value}")
 
     @property
     def n_steps(self) -> int:
@@ -154,7 +150,7 @@ def load_controller_config(path) -> ControllerConfig:
 def _parse_event(key, raw) -> Event:
     parts = raw.split()
     if len(parts) != 3:
-        raise ScenarioError(f"event must be '<time> <action> <value>', got {raw!r}")
+        raise ConfigError(f"event must be '<time> <action> <value>', got {raw!r}")
     return Event(parse_float("event time", parts[0]), parts[1],
                  parse_float("event value", parts[2]))
 
@@ -167,7 +163,7 @@ def parse_scenario(path) -> ScenarioConfig:
         "dt_control": Key(parse_float, ScenarioConfig.dt_control),
         "v_ref": Key(parse_float, ScenarioConfig.v_ref),
         "event": Key(_parse_event, (), repeat=True),
-    }, error=ScenarioError)
+    })
     return ScenarioConfig(machine_path=resolve_path(path, values.pop("machine")),
                           controller_path=resolve_path(path, values.pop("controller")),
                           events=list(values.pop("event")), **values)
@@ -178,7 +174,7 @@ def _apply_event(params, v_ref, event: Event):
         try:
             return replace(params, H=params.H * event.value), v_ref
         except ValueError as exc:  # repeated factors can take H to 0 or inf
-            raise ScenarioError(f"scale_H at t = {event.time:g} s: {exc}") from exc
+            raise ConfigError(f"scale_H at t = {event.time:g} s: {exc}") from exc
     if event.action == "set_Pm":
         return replace(params, P_m=event.value), v_ref
     return params, event.value  # set_vref
@@ -240,8 +236,8 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     try:
         table = np.empty((cfg.n_steps, len(TRACE_COLUMNS)))
     except (MemoryError, ValueError) as exc:
-        raise ScenarioError(f"a trace of {cfg.n_steps:.4g} instants ({cfg.t_end:g} s)"
-                            " does not fit in memory") from exc
+        raise ConfigError(f"a trace of {cfg.n_steps:.4g} instants ({cfg.t_end:g} s)"
+                          " does not fit in memory") from exc
     # an overflowing network gives a non-finite u, which control_step raises by
     # name, so its numpy warnings would only repeat that failure
     with np.errstate(over="ignore", invalid="ignore"):

@@ -192,13 +192,23 @@ def test_train_ref_retrains_the_committed_weights(tmp_path):
     assert identify.cross_validate(*trained, holdout).relative_error_pct <= 5.0
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    ident = write_small_identify(tmp_path, seed=3)
-    d1, d2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli_dispatch(["identify", "--config", str(ident), "--out", str(d1)]) == 0
-    assert cli_dispatch(["identify", "--config", str(ident), "--seed", "99",
-                         "--out", str(d2)]) == 0
-    assert not filecmp.cmp(d1, d2, shallow=False)
+def test_config_seed_sets_the_recording(tmp_path):
+    d3, d99 = tmp_path / "a.csv", tmp_path / "b.csv"
+    for seed, out in ((3, d3), (99, d99)):
+        ident = write_small_identify(tmp_path, seed=seed)
+        assert cli_dispatch(["identify", "--config", str(ident), "--out", str(out)]) == 0
+    assert not filecmp.cmp(d3, d99, shallow=False)
+
+
+@pytest.mark.parametrize("command", ["identify", "train"])
+def test_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    # the config's seed key is the one way to set a seed
+    cfg = (write_small_identify(tmp_path) if command == "identify"
+           else write_small_train(tmp_path, config_path("dataset_dither.csv")))
+    out = tmp_path / "out"
+    assert cli_dispatch([command, "--config", str(cfg), "--seed", "99", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_writes_trace_contract(tmp_path):
@@ -560,15 +570,19 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, key", [("simulate", "adapt"), ("minphase", "speed_coupled_z")])
+@pytest.mark.parametrize("command, key", [("simulate", "adapt"), ("minphase", "speed_coupled_z"),
+                                          ("train", "cost_tol")])
 def test_retired_switch_is_a_config_error_naming_it(tmp_path, capsys, command, key):
-    # neither switch exists: the deadzone gates adaptation, and the stator has one coupling
+    # no such switch exists: the deadzone gates adaptation, the stator has one
+    # coupling, and training stops at max_iter, a zero cost or saturated damping
     if command == "simulate":
         weights = config_path("narx_ref.nwt")
         argv = _simulate_with_controller(
             tmp_path, f"controller = neural\nweights = {weights}\nadapt = false\n")
-    else:
+    elif command == "minphase":
         argv = _minphase(tmp_path, "speed_coupled_z = true\n")
+    else:
+        argv = _train_on(tmp_path, "cost_tol = 0.0\n")
     assert cli_dispatch(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and repr(key) in err and len(err.splitlines()) == 1
@@ -623,8 +637,7 @@ def test_cli_exit_codes_under_fuzzed_numbers(tmp_path_factory):
     # its default, so some examples get as far as the LM iterations
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-2, 6), st.integers(-1, 3),
-           st.dictionaries(st.sampled_from(["train_fraction", "cost_tol", "seed"]), FUZZ_VALUES,
-                           max_size=3))
+           st.dictionaries(st.sampled_from(["train_fraction", "seed"]), FUZZ_VALUES, max_size=2))
     def training(hidden, max_iter, values):
         argv = _train_on(tmp, f"hidden = {hidden}\nmax_iter = {max_iter}\n"
                               + "".join(f"{k} = {v}\n" for k, v in values.items()))

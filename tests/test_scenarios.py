@@ -14,7 +14,7 @@ from smibctrl import scenarios
 from smibctrl.configio import ConfigError
 from smibctrl.control import ControllerState, control_step, synthesize_poly
 from smibctrl.machine import SynchronismLost
-from smibctrl.scenarios import (Event, ScenarioError, Trace, UndefinedMetricError,
+from smibctrl.scenarios import (Event, Trace, UndefinedMetricError,
                                 compare_traces, damping_metric,
                                 TRACE_COLUMNS, load_controller_config, parse_scenario,
                                 run_scenario)
@@ -237,28 +237,28 @@ def test_scenario_validation(tmp_path):
         f"controller = {config_path('ctrl_none.cfg')}\n"
         "t_end = 1.0\nbogus = 1\n"
     )
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match="unknown scenario config key 'bogus'"):
         parse_scenario(scen)
     scen.write_text(
         f"machine = {config_path('machine_ref.cfg')}\n"
         f"controller = {config_path('ctrl_none.cfg')}\n"
         "t_end = 1.0\nevent = 0.5 explode 2\n"
     )
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match="unknown event action 'explode'"):
         parse_scenario(scen)
     scen.write_text(
         f"machine = {config_path('machine_ref.cfg')}\n"
         f"controller = {config_path('ctrl_none.cfg')}\n"
         "t_end = 1.0\nevent = 2.0 set_vref 1.2\n"
     )
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match=r"event times must lie within \[0, 0\.998\]"):
         parse_scenario(scen)
     scen.write_text(
         f"machine = {config_path('machine_ref.cfg')}\n"
         f"controller = {config_path('ctrl_none.cfg')}\n"
         "t_end = 1.0\nevent = 1.0 set_vref 1.2\n"  # after the last instant, 0.998 s
     )
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError, match=r"event times must lie within \[0, 0\.998\]"):
         parse_scenario(scen)
 
 
