@@ -182,25 +182,11 @@ def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidde
     return jt.T
 
 
-def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset, pool=None):
-    """One forward pass over the batch: (mse_cost, residual y - y_hat, hidden layers).
-
-    The pass runs over lm_train's record blocks, _blocks(N), on pool when
-    given (see _run_blocks): each block writes its rows of the residual and
-    of both hidden layers into the full-length arrays.
-    """
-    n = len(data)
-    e = np.empty(n)
-    hidden = (np.empty((n, f_net.n_hidden)), np.empty((n, g_net.n_hidden)))
-
-    def forward_rows(rows):
-        y = []
-        for net, H in zip((f_net, g_net), hidden):
-            H[rows] = _hidden(net, data.z[rows])
-            y.append(H[rows] @ net.out_w + net.out_b)
-        e[rows] = data.y_next[rows] - (y[0] + y[1] * data.u[rows])
-
-    _run_blocks(pool, forward_rows, [(rows,) for rows in _blocks(n)])
+def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset):
+    """One full-batch forward pass: (mse_cost, residual y - y_hat, hidden layers)."""
+    hidden = (_hidden(f_net, data.z), _hidden(g_net, data.z))
+    f, g = (H @ net.out_w + net.out_b for net, H in zip((f_net, g_net), hidden))
+    e = data.y_next - (f + g * data.u)
     return float(0.5 * np.mean(e * e)), e, hidden
 
 
@@ -217,14 +203,12 @@ def _blocks(n: int) -> list:
 def _run_blocks(pool, fn, per_block: list) -> list:
     """[fn(*args) for args in per_block], results in block order.
 
-    A single block, or no pool, runs inline on the calling thread; otherwise
-    each block is one pool task, run in a copy of the caller's context:
-    NumPy keeps errstate in a contextvar, which a new thread does not inherit.
+    The calling thread runs block 0 and pool the rest, each task in a copy
+    of the caller's context: NumPy keeps errstate in a contextvar, which a
+    new thread does not inherit.
     """
-    if pool is None or len(per_block) == 1:
-        return [fn(*args) for args in per_block]
-    tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in per_block]
-    return [task.result() for task in tasks]
+    tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in per_block[1:]]
+    return [fn(*per_block[0])] + [task.result() for task in tasks]
 
 
 def _block_normal_equations(f_net: Mlp, g_net: Mlp, u, hidden, residual,
@@ -261,14 +245,11 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     batch, where e is the prediction error y_hat - y.  mu is divided by 10
     on an accepted step and multiplied by 10 while a trial step increases
     the cost; training stops once it passes 1e15.  Each trial is one
-    forward pass, and the accepted trial's residual and hidden layers give
-    the next iteration's J'e and J.
-    J'J and J'e are summed in block order over _blocks(N), contiguous
-    record blocks set by N alone, and each trial's forward pass writes the
-    blocks' rows into one full-length residual.  Two or more blocks run on
-    min(blocks, cpu_count) pool threads, and the result does not depend on
-    the worker count; a set of one block trains on the calling thread as
-    one full batch.
+    full-batch forward pass on the calling thread, and the accepted
+    trial's residual and hidden layers give the next iteration's J'e and J.
+    J_b'J_b and J_b'e_b are formed per record block of _blocks(N), block 0
+    on the calling thread and the rest on a pool, and summed in block
+    order, so the weights do not depend on the worker count.
     Returns (f_net, g_net, LmState), the networks views of the final
     theta.  The accepted-step cost sequence is non-increasing, so a finite
     starting cost, which TrainingError enforces, stays finite.
@@ -295,9 +276,10 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                 np.empty((theta.size, rows.stop - rows.start)),
                 np.empty((theta.size, theta.size)), np.empty(theta.size)) for rows in blocks]
 
-    with ThreadPoolExecutor(min(len(blocks), os.cpu_count() or 1)) as pool:
+    # block 0 runs on this thread, so a one-block set never starts the pool's worker
+    with ThreadPoolExecutor(max(1, min(len(blocks) - 1, os.cpu_count() or 1))) as pool:
         # the residual and hidden layers at theta, from the last accepted forward pass
-        _, residual, hidden = _lm_forward(f_net, g_net, data, pool)
+        _, residual, hidden = _lm_forward(f_net, g_net, data)
         for _ in range(max_iter):
             if cost <= cost_tol:
                 break
@@ -318,7 +300,7 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
                     ) from exc
                 trial = theta + step
                 f_try, g_try = theta_unflatten(trial, p)
-                trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data, pool)
+                trial_cost, trial_residual, trial_hidden = _lm_forward(f_try, g_try, data)
                 if np.isfinite(trial_cost) and trial_cost < cost:
                     theta, cost = trial, trial_cost
                     f_net, g_net = f_try, g_try

@@ -496,8 +496,8 @@ def test_lm_result_does_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_more_block_workers_than_cores_lose_no_rows(monkeypatch):
-    # four blocks on four workers, switching threads every microsecond: each block's
-    # rows of the shared residual and hidden layers are its own
+    # four blocks, block 0 on the caller and three on workers, switching threads every
+    # microsecond: each block's J_b'J_b and J_b'e_b land in its own buffers
     rng = np.random.default_rng(9)
     f_net, g_net = Mlp.random(2, rng=rng), Mlp.random(2, rng=rng)
     data = make_dataset(3 * networks.LM_BLOCK_RECORDS + 5, seed=10)
@@ -540,7 +540,7 @@ def test_lm_first_step_solves_the_block_summed_normal_equations(monkeypatch):
     f_fit, g_fit, state = lm_train(f_net, g_net, data, max_iter=1)
     first_trial, first_cost = trials[1]
     assert np.array_equal(first_trial, expected)
-    # the blocks' rows make up one residual: the trial's cost is mse_cost's, bit for bit
+    # the trial's forward pass is one full batch: its cost is mse_cost's, bit for bit
     assert first_cost == mse_cost(*theta_unflatten(first_trial, f_net.n_hidden), data)
     assert state.cost_history[1] < state.cost_history[0]
     assert np.array_equal(theta_flatten(f_fit, g_fit), expected)
@@ -549,13 +549,13 @@ def test_lm_first_step_solves_the_block_summed_normal_equations(monkeypatch):
 def test_block_workers_run_under_the_callers_errstate(monkeypatch):
     f_net, g_net, data = blocked_case()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seen, real_hidden = [], networks._hidden
+    seen, real_jacobian = [], networks._jacobian_batch
 
-    def spy(net, Z):
+    def spy(*args, **kwargs):
         seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
-        return real_hidden(net, Z)
+        return real_jacobian(*args, **kwargs)
 
-    monkeypatch.setattr(networks, "_hidden", spy)
+    monkeypatch.setattr(networks, "_jacobian_batch", spy)
     with np.errstate(over="ignore", divide="ignore"):
         caller = np.geterr()
         lm_train(f_net, g_net, data, max_iter=1)
@@ -570,15 +570,40 @@ def test_one_block_trains_on_the_calling_thread(monkeypatch):
     f_net, g_net = Mlp.random(2, rng=rng), Mlp.random(2, rng=rng)
     data = make_dataset(networks.LM_BLOCK_RECORDS, seed=12)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    threads, real_hidden = set(), networks._hidden
+    threads, real_jacobian = set(), networks._jacobian_batch
 
-    def spy(net, Z):
+    def spy(*args, **kwargs):
         threads.add(threading.current_thread())
-        return real_hidden(net, Z)
+        return real_jacobian(*args, **kwargs)
 
-    monkeypatch.setattr(networks, "_hidden", spy)
+    monkeypatch.setattr(networks, "_jacobian_batch", spy)
     lm_train(f_net, g_net, data, max_iter=2)
     assert threads == {threading.current_thread()}
+
+
+def test_block_zero_runs_on_the_calling_thread(monkeypatch):
+    # two blocks: block 0's Jacobian fill on the caller, block 1's on the pool's one
+    # worker; a set of one block submits no task and starts no thread
+    f_net, g_net, data = blocked_case()
+    starts = [data.z[rows.start] for rows in networks._blocks(len(data))]   # first regressors
+    assert len(starts) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller, threads = threading.current_thread(), threading.active_count()
+    fills, real_jacobian = [], networks._jacobian_batch
+
+    def spy(f_net, g_net, Zt, *args, **kwargs):
+        block = next(b for b, z in enumerate(starts) if np.array_equal(Zt[:, 0], z))
+        fills.append((block, threading.current_thread() is caller, threading.active_count()))
+        return real_jacobian(f_net, g_net, Zt, *args, **kwargs)
+
+    monkeypatch.setattr(networks, "_jacobian_batch", spy)
+    lm_train(f_net, g_net, data, max_iter=2)
+    assert sorted(fills) == [(0, True, threads + 1)] * 2 + [(1, False, threads + 1)] * 2
+
+    data = make_dataset(networks.LM_BLOCK_RECORDS, seed=12)
+    starts, fills[:] = [data.z[0]], []
+    lm_train(f_net, g_net, data, max_iter=2)
+    assert fills == [(0, True, threads)] * 2
 
 
 def test_training_error_closes_the_block_pool(monkeypatch):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from smibctrl import scenarios
+from smibctrl import machine, scenarios
 from smibctrl.configio import ConfigError
 from smibctrl.control import ControllerState, control_step, synthesize_poly
 from smibctrl.machine import SynchronismLost
@@ -437,3 +437,17 @@ def test_compare_traces_alignment():
     assert len(common) == n
     assert np.allclose(diffs["v_t"], -1.0)
     assert stats["v_t"] == (1.0, 1.0)
+
+
+def test_rk4_at_four_micro_steps_is_fourth_order(monkeypatch):
+    # the conventional step study at M = 4, 8 and 16 RK4 steps per control period:
+    # each halving of the step divides the error by 2**4
+    cfg = parse_scenario(config_path("scen_step_nominal_st1a.cfg"))
+    runs = []
+    for m in (4, 8, 16):
+        monkeypatch.setattr(machine, "MICRO_STEPS", m)
+        runs.append(run_scenario(cfg))
+    for name in ("v_t", "delta"):
+        x4, x8, x16 = (getattr(trace, name) for trace in runs)
+        order = math.log2(np.max(np.abs(x4 - x8)) / np.max(np.abs(x8 - x16)))
+        assert order == pytest.approx(4.0, abs=0.5), name
