@@ -2,7 +2,7 @@
 
 Identification data is collected by perturbing the field voltage around
 its equilibrium value with a held uniform-random signal and sampling the
-terminal voltage at the control rate.
+terminal voltage at the control rate: `scenarios.sampled` under a dither law.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import machine
+from . import machine, scenarios
 from .configio import ConfigError
 from .networks import Dataset, Mlp, N_LAGS_U, N_LAGS_Y, REGRESSOR_LEN, predict_batch
 
@@ -51,7 +51,7 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     The simulation starts at the equilibrium for v_target; the recorded
     input series is the perturbation on the equilibrium field voltage and
     the output series is the terminal voltage, both sampled every plan.dt.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The dither law's state is the sample index.
     """
     try:
         y_series = np.empty(plan.n_samples)
@@ -62,14 +62,11 @@ def excite_and_record(params: machine.MachineParams, plan: ExcitationPlan,
     n_levels = -(-plan.n_samples // plan.hold)
     levels = rng.uniform(plan.u_min, plan.u_max, size=n_levels)
     u_series = levels[np.arange(plan.n_samples) // min(plan.hold, plan.n_samples)]
-    # nothing reads the state after the last sample; Python floats keep the plant kernel fast
-    for k, u in enumerate(u_series[:-1].tolist()):
-        y_series[k] = machine.terminal_voltage(x, params)
-        try:
-            x = machine.advance(x, u_eq + u, plan.dt, params)
-        except machine.DivergenceError as exc:
-            raise machine.DivergenceError(f"simulation diverged at sample {k}") from exc
-    y_series[-1] = machine.terminal_voltage(x, params)
+    dither = u_series.tolist()  # Python floats keep the plant kernel fast
+    for k, row in enumerate(scenarios.sampled(
+            params, x, u_eq, plan.dt, plan.n_samples,
+            lambda i, v_ref, v_t, slip: (dither[i], 0.0, 0.0, i + 1), 0, v_target)):
+        y_series[k] = row[2]
     return u_series, y_series
 
 

@@ -3,7 +3,8 @@
 A scenario couples a machine config, a controller config and a timed
 event list.  The plant starts at the equilibrium of the initial reference
 voltage; each 2 ms instant applies pending events, evaluates the selected
-controller and integrates four RK4 micro-steps.
+controller and integrates four RK4 micro-steps.  That loop, `sampled`, also
+records the identification data, with an open-loop dither law.
 """
 
 from __future__ import annotations
@@ -200,19 +201,14 @@ def _control_law(ctrl_cfg: ControllerConfig, y_eq: float):
     return state, neural
 
 
-def instants(cfg: ScenarioConfig):
-    """Rows of one scripted closed-loop experiment, one per control instant in
-    TRACE_COLUMNS order.  Raises SynchronismLost once |delta| reaches pi."""
-    params = machine.load_machine_config(cfg.machine_path)
-    ctrl_cfg = load_controller_config(cfg.controller_path)
-    x, u_eq = machine.find_equilibrium(params, cfg.v_ref)
-    state, law = _control_law(ctrl_cfg, machine.terminal_voltage(x, params))
-    events = iter(cfg.events)  # in time order, which ScenarioConfig checks
+def sampled(params, x, u_eq, dt, n, law, state, v_ref, events=()):
+    """The plant sampled every dt from state x, as n rows in TRACE_COLUMNS order.  At each
+    instant the due events apply, law(state, v_ref, v_t, slip) -> (u_pert, e_star, adapted,
+    state) sets the field voltage u_eq + u_pert, and the plant advances one period."""
+    events = iter(events)  # in time order, which ScenarioConfig checks
     event = next(events, None)
-    v_ref = cfg.v_ref
-    last = cfg.n_steps - 1
-    for k in range(cfg.n_steps):
-        t = k * cfg.dt_control
+    for k in range(n):
+        t = k * dt
         while event is not None and event.time <= t + EVENT_TIME_TOL:
             params, v_ref = _apply_event(params, v_ref, event)
             event = next(events, None)
@@ -220,19 +216,16 @@ def instants(cfg: ScenarioConfig):
         u_pert, e_star, adapted, state = law(state, v_ref, v_t, x[1] / params.omega_b)
         u = u_eq + u_pert
         yield t, v_ref, v_t, u, x[0], x[1], e_star, adapted
-        if k == last:  # nothing reads the state after the last instant
+        if k == n - 1:  # nothing reads the state after the last instant
             return
         try:
-            x = machine.advance(x, u, cfg.dt_control, params)
+            x = machine.advance(x, u, dt, params)
         except machine.DivergenceError as exc:
-            raise machine.DivergenceError(f"scenario diverged at t = {t:.4f} s") from exc
-        if not abs(x[0]) < math.pi:
-            raise machine.SynchronismLost(f"loss of synchronism at t = {t + cfg.dt_control:.4f}"
-                                          f" s: |delta| = {abs(x[0]):.4g} rad")
+            raise machine.DivergenceError(f"simulation diverged at sample {k}") from exc
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trace:
-    """Simulate one scripted closed-loop experiment."""
+    """Simulate one scripted closed-loop experiment; SynchronismLost at |delta| >= pi."""
     try:
         table = np.empty((cfg.n_steps, len(TRACE_COLUMNS)))
     except (MemoryError, ValueError) as exc:
@@ -241,7 +234,15 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     # an overflowing network gives a non-finite u, which control_step raises by
     # name, so its numpy warnings would only repeat that failure
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, row in enumerate(instants(cfg)):
+        params = machine.load_machine_config(cfg.machine_path)
+        ctrl_cfg = load_controller_config(cfg.controller_path)
+        x, u_eq = machine.find_equilibrium(params, cfg.v_ref)
+        state, law = _control_law(ctrl_cfg, machine.terminal_voltage(x, params))
+        for k, row in enumerate(sampled(params, x, u_eq, cfg.dt_control, cfg.n_steps, law,
+                                        state, cfg.v_ref, cfg.events)):
+            if not abs(row[4]) < math.pi:
+                raise machine.SynchronismLost(f"loss of synchronism at t = {row[0]:.4f} s:"
+                                              f" |delta| = {abs(row[4]):.4g} rad")
             table[k] = row  # one contiguous row per instant; the columns are views
     return Trace(*table.T)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from smibctrl import machine
+from smibctrl.configio import Key, fields_schema, parse_float, parse_str, read_config, resolve_path
+from smibctrl.identify import ExcitationPlan
 from smibctrl.networks import load_weights, predict_batch
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -11,6 +13,17 @@ CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "c
 
 def config_path(name: str) -> str:
     return os.path.join(CONFIGS, name)
+
+
+def shipped_plan(name: str):
+    """(params, plan, v_target) of a shipped identify config."""
+    cfg = config_path(name)
+    values = read_config(cfg, "identify", {"machine": Key(parse_str),
+                                           "v_target": Key(parse_float),
+                                           **fields_schema(ExcitationPlan)})
+    params = machine.load_machine_config(resolve_path(cfg, values.pop("machine")))
+    v_target = values.pop("v_target")
+    return params, ExcitationPlan(**values), v_target
 
 
 def fail_advance_on_call(monkeypatch, n):

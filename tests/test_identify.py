@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smibctrl import machine
-from smibctrl.configio import (Key, fields_schema, parse_float, parse_str, read_config,
-                               read_table, resolve_path)
+from smibctrl.configio import read_table
 from smibctrl.identify import (ExcitationPlan, ValidationReport, build_regression_set,
                                cross_validate, excite_and_record, select_deadzone, split)
-from smibctrl.machine import DivergenceError, load_machine_config
+from smibctrl.machine import DivergenceError
 from smibctrl.networks import Dataset, Mlp, lm_train, predict_batch
 
-from conftest import config_path, fail_advance_on_call
+from conftest import config_path, fail_advance_on_call, shipped_plan
 
 
 def test_plan_validation():
@@ -58,17 +57,16 @@ def test_excitation_deterministic(ref_params, short_recording):
     assert np.array_equal(u1, u2) and np.array_equal(y1, y2)
 
 
-def test_recording_reproduces_shipped_dataset():
-    # all 10 000 samples of identify_ref.cfg's plan against dataset_ref.csv
-    cfg = config_path("identify_ref.cfg")
-    values = read_config(cfg, "identify", {"machine": Key(parse_str),
-                                           "v_target": Key(parse_float),
-                                           **fields_schema(ExcitationPlan)})
-    params = load_machine_config(resolve_path(cfg, values.pop("machine")))
-    v_target = values.pop("v_target")
-    u, y = excite_and_record(params, ExcitationPlan(**values), v_target)
-    shipped = read_table(config_path("dataset_ref.csv"), ("k", "u", "y"), "dataset")
-    assert len(u) == len(shipped) == 10000
+@pytest.mark.parametrize("cfg, dataset, n", [
+    pytest.param("identify_ref.cfg", "dataset_ref.csv", 10000, id="ref"),
+    pytest.param("identify_dither.cfg", "dataset_dither.csv", 4000, id="dither"),  # hold 1
+])
+def test_recording_reproduces_shipped_dataset(cfg, dataset, n):
+    # every sample of a shipped plan against its committed dataset
+    params, plan, v_target = shipped_plan(cfg)
+    u, y = excite_and_record(params, plan, v_target)
+    shipped = read_table(config_path(dataset), ("k", "u", "y"), "dataset")
+    assert len(u) == len(shipped) == n
     assert np.max(np.abs(u - shipped[:, 1])) <= 1e-10
     assert np.max(np.abs(y - shipped[:, 2])) <= 1e-10
 

@@ -347,6 +347,41 @@ def test_derivatives_vanish_at_equilibrium(ref_params, nominal_eq):
     assert np.max(np.abs(derivatives(state, u_eq, ref_params))) < 1e-9
 
 
+def test_winding_power_balance(ref_params, nominal_eq):
+    # An oracle independent of the kernel's operation order: it uses only L's symmetry
+    # and the winding equations.  With i~ = (-i_d, -i_q, i_f, i_kd, i_kq), the power
+    # stored in the windings' fields, i~ . dlam/dt / omega_b, is the air-gap power
+    # less the terminal power and the copper losses, plus the field input i_f u; the
+    # terminal power is the line loss plus the power into the bus.
+    p = ref_params
+    state, u_eq = nominal_eq
+    r = np.array([p.r_s, p.r_s, p.r_f, p.r_kd, p.r_kq])
+    rng = np.random.default_rng(2024)
+    worst_windings = worst_terminal = 0.0
+    for _ in range(1000):
+        x = np.array(state) * (1.0 + 0.05 * rng.normal(size=7))
+        x[0] += 0.3 * rng.normal()
+        x[1] = rng.normal()
+        u = u_eq + rng.uniform(-0.1, 0.1)
+        i, v_d, v_q = dq_voltages(x, p)
+        i = np.array(i)
+        stored = np.array([-i[0], -i[1], i[2], i[3], i[4]]) * derivatives(x, u, p)[2:] / p.omega_b
+        P_e = x[2] * i[1] - x[3] * i[0]
+        p_t = v_d * i[0] + v_q * i[1]
+        losses = r * i * i
+        terms = np.concatenate((stored, [P_e, p_t, i[2] * u], losses))
+        gap = stored.sum() - (P_e - p_t + i[2] * u - losses.sum())
+        worst_windings = max(worst_windings, abs(gap) / np.abs(terms).sum())
+        w_d = p.v_inf * (p.A * math.sin(x[0]) + p.B * math.cos(x[0]))
+        w_q = -p.v_inf * (p.B * math.sin(x[0]) - p.A * math.cos(x[0]))
+        terms = np.array([v_d * i[0], v_q * i[1], p.r11 * i[0] ** 2, p.r11 * i[1] ** 2,
+                          w_d * i[0], w_q * i[1]])
+        gap = terms[:2].sum() - terms[2:].sum()
+        worst_terminal = max(worst_terminal, abs(gap) / np.abs(terms).sum())
+    assert worst_windings <= 1e-13
+    assert worst_terminal <= 1e-13
+
+
 def test_rk4_fixed_point(ref_params, nominal_eq):
     state, u_eq = nominal_eq
     stepped = rk4_step(state, u_eq, 5e-4, ref_params)

@@ -13,13 +13,14 @@ import pytest
 from smibctrl import machine, scenarios
 from smibctrl.configio import ConfigError
 from smibctrl.control import ControllerState, control_step, synthesize_poly
+from smibctrl.identify import ExcitationPlan, excite_and_record
 from smibctrl.machine import SynchronismLost
 from smibctrl.scenarios import (Event, Trace, UndefinedMetricError,
                                 compare_traces, damping_metric,
                                 TRACE_COLUMNS, load_controller_config, parse_scenario,
                                 run_scenario)
 
-from conftest import config_path, fail_advance_on_call
+from conftest import config_path, fail_advance_on_call, shipped_plan
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -336,19 +337,75 @@ def test_event_applies_at_first_sample_not_before(tmp_path):
     assert np.all(trace.v_ref[k:] == 1.25)
 
 
-def test_instants_stream_is_the_trace_and_calls_control_step_once_per_row(monkeypatch):
+def test_sampled_rows_are_the_trace_and_call_control_step_once_per_row(monkeypatch):
     cfg = parse_scenario(config_path("scen_pss_step.cfg"))
     k = 1050  # past the set_vref event at 2 s
     trace = run_scenario(cfg)
     expected = np.array([getattr(trace, c)[:k] for c in TRACE_COLUMNS]).T
+    params = machine.load_machine_config(cfg.machine_path)
+    x, u_eq = machine.find_equilibrium(params, cfg.v_ref)
+    state, law = scenarios._control_law(load_controller_config(cfg.controller_path),
+                                        machine.terminal_voltage(x, params))
     calls = []
     real_step = scenarios.control_step
     monkeypatch.setattr(scenarios, "control_step",
                         lambda *args: calls.append(args) or real_step(*args))
-    rows = np.array(list(itertools.islice(scenarios.instants(cfg), k)))
+    loop = scenarios.sampled(params, x, u_eq, cfg.dt_control, cfg.n_steps, law, state,
+                             cfg.v_ref, cfg.events)
+    rows = np.array(list(itertools.islice(loop, k)))
     assert rows.shape == expected.shape
     assert rows.tobytes() == expected.tobytes()
     assert len(calls) == k
+
+
+def spy_on_sampled(monkeypatch):
+    """Record each call of scenarios.sampled as the list of the rows it yields."""
+    real, calls = scenarios.sampled, []
+
+    def sampled(*args):
+        calls.append([])
+        for row in real(*args):
+            calls[-1].append(row)
+            yield row
+
+    monkeypatch.setattr(scenarios, "sampled", sampled)
+    return calls
+
+
+def test_recording_and_control_step_the_plant_through_one_loop(ref_params, monkeypatch):
+    calls = spy_on_sampled(monkeypatch)
+    callers, real_advance = [], machine.advance
+    monkeypatch.setattr(machine, "advance", lambda *args: callers.append(
+        sys._getframe(1).f_code.co_name) or real_advance(*args))
+    excite_and_record(ref_params, ExcitationPlan(n_samples=20, seed=5))
+    assert [len(rows) for rows in calls] == [20]
+    run_scenario(replace(parse_scenario(config_path("scen_step_nominal_st1a.cfg")),
+                         t_end=0.02, events=[]))
+    assert [len(rows) for rows in calls] == [20, 10]
+    assert callers == ["sampled"] * (19 + 9)
+
+
+def slipping_scenario(tmp_path):
+    ctrl = tmp_path / "c.cfg"  # ctrl_neural_default.cfg with nu = 0
+    ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
+                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\n")
+    scen = tmp_path / "s.cfg"
+    scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
+                    "t_end = 0.2\n")
+    return parse_scenario(scen)
+
+
+def test_recorder_steps_through_a_slip_and_the_runner_stops_at_it(tmp_path, monkeypatch):
+    # ROADMAP item 18's order rule, until item 2 moves the slip check into the loop
+    calls = spy_on_sampled(monkeypatch)
+    excite_and_record(*shipped_plan("identify_ref.cfg"))
+    slipped = [k for k, row in enumerate(calls[0]) if not abs(row[4]) < math.pi]
+    assert len(calls[0]) == 10000 and slipped[0] == 290
+    with pytest.raises(SynchronismLost):
+        run_scenario(slipping_scenario(tmp_path))
+    rows = calls[1]
+    assert not abs(rows[-1][4]) < math.pi
+    assert all(abs(row[4]) < math.pi for row in rows[:-1])
 
 
 @pytest.mark.parametrize("kind", ["st1a", "none"])
@@ -362,14 +419,8 @@ def test_laws_without_a_model_return_the_state_they_were_given(kind):
 
 
 def test_slipped_pole_raises_synchronism_lost(tmp_path):
-    ctrl = tmp_path / "c.cfg"  # ctrl_neural_default.cfg with nu = 0
-    ctrl.write_text(f"controller = neural\nweights = {config_path('narx_ref.nwt')}\n"
-                    "p = 7\npole = 0.7\nnu = 0\nd0 = 0.01\n")
-    scen = tmp_path / "s.cfg"
-    scen.write_text(f"machine = {config_path('machine_ref.cfg')}\ncontroller = {ctrl}\n"
-                    "t_end = 0.2\n")
     with pytest.raises(SynchronismLost, match="loss of synchronism at t = 0.1160 s"):
-        run_scenario(parse_scenario(scen))
+        run_scenario(slipping_scenario(tmp_path))
 
 
 def test_shipped_scenarios_parse():
@@ -404,6 +455,15 @@ def test_scenario_takes_no_step_after_its_last_instant(monkeypatch):
     assert len(again) == cfg.n_steps == 10
     for name in TRACE_COLUMNS:
         assert np.array_equal(getattr(again, name), getattr(trace, name)), name
+
+
+def test_scenario_divergence_names_the_sample(monkeypatch):
+    # the recorder's message (tests/test_identify.py), from the loop both share
+    cfg = replace(parse_scenario(config_path("scen_step_nominal_st1a.cfg")),
+                  t_end=0.02, events=[])
+    fail_advance_on_call(monkeypatch, 5)
+    with pytest.raises(machine.DivergenceError, match="^simulation diverged at sample 4$"):
+        run_scenario(cfg)
 
 
 def test_deadzone_above_every_error_freezes_a_shipped_scenario(tmp_path):
