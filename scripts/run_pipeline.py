@@ -9,10 +9,15 @@ after the reference steps, the damping metric with and without the
 stabilizer, the recovery errors after the inertia drift and the mechanical
 power drop, and the big-swing errors.
 
+DATASETS and SCENARIOS are the one list of the datasets and traces it writes.
+It reads each file before overwriting it and prints its largest |new - old|,
+every column included, against the 1e-10 GATE: tables of different shapes are
+infinitely far apart, and a file that was not there before is reported as new.
+
 Then it trains the two-network model into a temporary directory, scores the
 retrained weights on the holdout that train_ref.cfg keeps out of training,
 and prints their largest weight difference from configs/narx_ref.nwt against
-the 1e-7 weight gate; the script exits 1 above it.  The committed weights
+the 1e-7 weight gate; it exits 1 over either gate.  The committed weights
 and cost history are never overwritten: the retrained weights land about
 2.8e-8 from them, because the committed file was trained on datasets
 recorded with LU solves, which differ from today's by up to 2.1e-10, and
@@ -35,15 +40,19 @@ pin_blas_threads()   # before numpy loads, as the smibctrl entry point does
 
 import numpy as np  # noqa: E402
 
-from smibctrl.cli import cli_dispatch  # noqa: E402
+from smibctrl.cli import DATASET_COLUMNS, cli_dispatch  # noqa: E402
+from smibctrl.configio import read_table  # noqa: E402
 from smibctrl.machine import V_NOMINAL  # noqa: E402
 from smibctrl.networks import load_weights, theta_flatten  # noqa: E402
-from smibctrl.scenarios import Trace, damping_metric  # noqa: E402
+from smibctrl.scenarios import TRACE_COLUMNS, Trace, damping_metric  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(ROOT, "results")
+GATE = 1e-10  # not bit for bit: the last bits may differ across machines
 WEIGHT_GATE = 1e-7
 
+# every committed identification dataset in configs/, by the config that records it
+DATASETS = {"identify_ref.cfg": "dataset_ref.csv", "identify_dither.cfg": "dataset_dither.csv"}
 # every shipped scenario and its trace in results/
 SCENARIOS = {
     "scen_step_nominal_neural.cfg": "step_nominal_neural.csv",
@@ -58,6 +67,19 @@ SCENARIOS = {
 DIFF = "step_nominal_diff.csv"
 
 
+def manifest():
+    """(command, config, path, columns, kind) of every gated artifact, in the order written."""
+    for config, csv in DATASETS.items():
+        yield "identify", config, os.path.join(ROOT, "configs", csv), DATASET_COLUMNS, "dataset"
+    for config, csv in SCENARIOS.items():
+        yield "simulate", config, os.path.join(RESULTS, csv), TRACE_COLUMNS, "trace"
+
+
+def table_gap(new, old) -> float:
+    """Largest |new - old| over every cell; inf when the shapes differ."""
+    return float(np.max(np.abs(new - old), initial=0.0)) if new.shape == old.shape else np.inf
+
+
 def run(*argv):
     code = cli_dispatch(list(argv))
     if code != 0:
@@ -66,13 +88,19 @@ def run(*argv):
 
 def main():
     os.chdir(os.path.join(ROOT, "configs"))
-    run("identify", "--config", "identify_ref.cfg", "--out", "dataset_ref.csv")
-    run("identify", "--config", "identify_dither.cfg", "--out", "dataset_dither.csv")
     os.makedirs(RESULTS, exist_ok=True)
-    traces = {}
-    for scenario, csv in SCENARIOS.items():
-        run("simulate", "--config", scenario, "--out", os.path.join(RESULTS, csv))
-        traces[scenario] = Trace.from_csv(os.path.join(RESULTS, csv))
+    gaps = {}
+    for command, config, path, columns, kind in manifest():
+        old = read_table(path, columns, kind) if os.path.exists(path) else None
+        run(command, "--config", config, "--out", path)
+        gaps[os.path.relpath(path, ROOT)] = (
+            None if old is None else table_gap(read_table(path, columns, kind), old))
+    for name, artifact_gap in gaps.items():
+        print(f"{name}: new, no file before this run" if artifact_gap is None else
+              f"{name}: max |new - old| = {artifact_gap:.3e}, "
+              f"{'within' if artifact_gap <= GATE else 'OVER'} the {GATE:g} gate")
+    traces = {scenario: Trace.from_csv(os.path.join(RESULTS, csv))
+              for scenario, csv in SCENARIOS.items()}
 
     for scenario in list(SCENARIOS)[:3]:  # the three 0.1 pu reference steps at t = 1 s
         trace = traces[scenario]
@@ -105,7 +133,7 @@ def main():
     verdict = "within" if gap <= WEIGHT_GATE else "OVER"
     print(f"retrained weights: max |dtheta| = {gap:.3e} against narx_ref.nwt, "
           f"{verdict} the {WEIGHT_GATE:g} weight gate")
-    if gap > WEIGHT_GATE:
+    if gap > WEIGHT_GATE or any(g is not None and g > GATE for g in gaps.values()):
         raise SystemExit(1)
 
 

@@ -21,27 +21,33 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_MINPHASE_GRID = (1.0, machine.V_NOMINAL, 1.5, 2.0)
+DATASET_COLUMNS = ("k", "u", "y")
 
 
 def _read_dataset_csv(path):
-    data = read_table(path, ("k", "u", "y"), "dataset")
+    data = read_table(path, DATASET_COLUMNS, "dataset")
     return data[:, 1], data[:, 2]
 
 
-def cmd_identify(args) -> int:
-    values = read_config(args.config, "identify", {
+def _read_identify_config(path):
+    """An identify config's machine, excitation plan and operating point."""
+    values = read_config(path, "identify", {
         "machine": Key(parse_str),
         "v_target": Key(parse_float, machine.V_NOMINAL),
         **fields_schema(identify.ExcitationPlan),
     })
-    params = machine.load_machine_config(resolve_path(args.config, values.pop("machine")))
+    params = machine.load_machine_config(resolve_path(path, values.pop("machine")))
     v_target = values.pop("v_target")
     try:
         plan = identify.ExcitationPlan(**values)
     except ValueError as exc:
-        raise ConfigError(f"invalid identify config {args.config}: {exc}") from exc
-    u_series, y_series = identify.excite_and_record(params, plan, v_target)
-    write_table(args.out, ("k", "u", "y"), (range(len(u_series)), u_series, y_series))
+        raise ConfigError(f"invalid identify config {path}: {exc}") from exc
+    return params, plan, v_target
+
+
+def cmd_identify(args) -> int:
+    u_series, y_series = identify.excite_and_record(*_read_identify_config(args.config))
+    write_table(args.out, DATASET_COLUMNS, (range(len(u_series)), u_series, y_series))
     print(f"wrote {len(u_series)} samples to {args.out}")
     return EXIT_OK
 
@@ -149,6 +155,7 @@ def cmd_compare(args) -> int:
     a = scenarios.Trace.from_csv(args.trace_a)
     b = scenarios.Trace.from_csv(args.trace_b)
     t, diffs, stats = scenarios.compare_traces(a, b)
+    print(f"{len(t)} common samples of {len(a)} and {len(b)} rows")
     print(f"{'column':>8} {'max |diff|':>13} {'rms diff':>13}")
     for name, (mx, rms) in stats.items():
         print(f"{name:>8} {mx:13.6g} {rms:13.6g}")

@@ -1,14 +1,22 @@
+import importlib.util
 import os
 
 import numpy as np
 import pytest
 
 from smibctrl import machine
-from smibctrl.configio import Key, fields_schema, parse_float, parse_str, read_config, resolve_path
-from smibctrl.identify import ExcitationPlan
+from smibctrl.cli import _read_identify_config
 from smibctrl.networks import load_weights, predict_batch
 
-CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+CONFIGS = os.path.join(ROOT, "configs")
+
+# scripts/run_pipeline.py, loaded once: its DATASETS and SCENARIOS list the committed
+# artifacts and its GATE bounds how far a regenerated one may land from the committed file
+_spec = importlib.util.spec_from_file_location(
+    "run_pipeline", os.path.join(ROOT, "scripts", "run_pipeline.py"))
+PIPELINE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(PIPELINE)  # runs no stage
 
 
 def config_path(name: str) -> str:
@@ -17,13 +25,7 @@ def config_path(name: str) -> str:
 
 def shipped_plan(name: str):
     """(params, plan, v_target) of a shipped identify config."""
-    cfg = config_path(name)
-    values = read_config(cfg, "identify", {"machine": Key(parse_str),
-                                           "v_target": Key(parse_float),
-                                           **fields_schema(ExcitationPlan)})
-    params = machine.load_machine_config(resolve_path(cfg, values.pop("machine")))
-    v_target = values.pop("v_target")
-    return params, ExcitationPlan(**values), v_target
+    return _read_identify_config(config_path(name))
 
 
 def fail_advance_on_call(monkeypatch, n):

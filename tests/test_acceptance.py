@@ -6,8 +6,8 @@ identification-quality check trains from scratch at desk scale.
 """
 
 import filecmp
-import importlib.util
 import os
+import shutil
 import time
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 
 from smibctrl import machine
 from smibctrl.cli import cli_dispatch
+from smibctrl.configio import read_table
 from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
                               synthesize_poly)
 from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_validate,
@@ -22,7 +23,7 @@ from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_valid
 from smibctrl.networks import Mlp, lm_train, theta_flatten, theta_unflatten, weight_jacobian
 from smibctrl.scenarios import TRACE_COLUMNS, Trace, damping_metric, parse_scenario, run_scenario
 
-from conftest import config_path, predict_one
+from conftest import PIPELINE, config_path, predict_one
 from test_scenarios import oracle_residuals, run_oracle_loop, synthetic_f, synthetic_g
 
 
@@ -213,37 +214,39 @@ def test_criterion_10_determinism(tmp_path):
     verdict(10, "determinism", "train and simulate outputs bitwise identical")
 
 
-SHIPPED_TRACES = {
-    "scen_step_nominal_neural.cfg": "step_nominal_neural.csv",
-    "scen_step_nominal_st1a.cfg": "step_nominal_st1a.csv",
-    "scen_pss_step.cfg": "pss_step_nu3.csv",
-    "scen_pss_step_nu0.cfg": "pss_step_nu0.csv",
-    "scen_h_drift.cfg": "h_drift.csv",
-    "scen_pm_drop.cfg": "pm_drop.csv",
-    "scen_step_far_neural.cfg": "step_far_neural.csv",
-    "scen_big_swing.cfg": "big_swing.csv",
-}
-
-
 def test_shipped_result_traces_reproduced(scenario_trace):
     # the scenarios simulated above, against their committed results/*.csv
-    results = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "results")
-    for scenario, csv in SHIPPED_TRACES.items():
+    for scenario, csv in PIPELINE.SCENARIOS.items():
         trace = scenario_trace(scenario)
-        shipped = Trace.from_csv(os.path.join(results, csv))
+        shipped = Trace.from_csv(os.path.join(PIPELINE.RESULTS, csv))
         assert len(trace) == len(shipped), csv
         worst = max(float(np.max(np.abs(getattr(trace, c) - getattr(shipped, c))))
                     for c in TRACE_COLUMNS)
-        assert worst <= 1e-10, f"{csv}: max |diff| {worst:.3e}"
+        assert worst <= PIPELINE.GATE, f"{csv}: max |diff| {worst:.3e}"
 
 
 def test_pipeline_writes_every_shipped_result():
     # scripts/run_pipeline.py regenerates results/: every gated trace and nothing else
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-    spec = importlib.util.spec_from_file_location(
-        "run_pipeline", os.path.join(root, "scripts", "run_pipeline.py"))
-    pipeline = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pipeline)
-    assert pipeline.SCENARIOS == SHIPPED_TRACES
-    written = sorted([*pipeline.SCENARIOS.values(), pipeline.DIFF])
-    assert sorted(os.listdir(os.path.join(root, "results"))) == written
+    written = sorted([*PIPELINE.SCENARIOS.values(), PIPELINE.DIFF])
+    assert sorted(os.listdir(PIPELINE.RESULTS)) == written
+
+
+def test_pipeline_gate_fails_a_lost_row_and_a_moved_value(tmp_path):
+    # each artifact read as the pipeline reads it, every column included
+    tables = {os.path.basename(path): (path, columns, kind)
+              for _, _, path, columns, kind in PIPELINE.manifest()}
+    trace, columns, kind = tables["pss_step_nu3.csv"]
+    head = tmp_path / "head.csv"
+    with open(trace, encoding="utf-8") as fh:
+        head.write_text("".join(fh.readlines()[:500]))  # the header and 499 of 4 000 rows
+    full = read_table(trace, columns, kind)
+    assert PIPELINE.table_gap(read_table(head, columns, kind), full) > PIPELINE.GATE
+
+    dataset, columns, kind = tables["dataset_ref.csv"]
+    committed = read_table(dataset, columns, kind)
+    copy = tmp_path / "dataset_ref.csv"
+    shutil.copyfile(dataset, copy)
+    assert PIPELINE.table_gap(read_table(copy, columns, kind), committed) == 0.0
+    moved = committed.copy()
+    moved[1234, columns.index("y")] += 2e-10
+    assert PIPELINE.table_gap(moved, committed) > PIPELINE.GATE

@@ -248,11 +248,19 @@ def test_compare_command(tmp_path, capsys):
     assert cli_dispatch(["simulate", "--config", str(scen), "--out", str(a)]) == 0
     assert cli_dispatch(["simulate", "--config", str(scen), "--out", str(b)]) == 0
     diff = tmp_path / "d.csv"
+    capsys.readouterr()
     assert cli_dispatch(["compare", str(a), str(b), "--out", str(diff)]) == 0
     out = capsys.readouterr().out
     assert "max |diff|" in out
+    rows = len(a.read_text().splitlines()) - 1
+    assert out.splitlines()[0] == f"{rows} common samples of {rows} and {rows} rows"
     body = diff.read_text().splitlines()
     assert body[0].startswith("t,d_")
+    # a truncated copy shares a few samples and differs in none: the counts say so
+    head = tmp_path / "head.csv"
+    head.write_text("".join(b.read_text().splitlines(keepends=True)[:6]))
+    assert cli_dispatch(["compare", str(a), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"5 common samples of {rows} and 5 rows"
 
 
 def test_unknown_subcommand_exits_2(capsys):

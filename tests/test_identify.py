@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smibctrl import machine
+from smibctrl.cli import DATASET_COLUMNS
 from smibctrl.configio import read_table
 from smibctrl.identify import (ExcitationPlan, ValidationReport, build_regression_set,
                                cross_validate, excite_and_record, select_deadzone, split)
 from smibctrl.machine import DivergenceError
 from smibctrl.networks import Dataset, Mlp, lm_train, predict_batch
 
-from conftest import config_path, fail_advance_on_call, shipped_plan
+from conftest import PIPELINE, config_path, fail_advance_on_call, shipped_plan
 
 
 def test_plan_validation():
@@ -57,18 +58,17 @@ def test_excitation_deterministic(ref_params, short_recording):
     assert np.array_equal(u1, u2) and np.array_equal(y1, y2)
 
 
-@pytest.mark.parametrize("cfg, dataset, n", [
-    pytest.param("identify_ref.cfg", "dataset_ref.csv", 10000, id="ref"),
-    pytest.param("identify_dither.cfg", "dataset_dither.csv", 4000, id="dither"),  # hold 1
-])
-def test_recording_reproduces_shipped_dataset(cfg, dataset, n):
-    # every sample of a shipped plan against its committed dataset
+@pytest.mark.parametrize("cfg", PIPELINE.DATASETS,
+                         ids=lambda cfg: cfg.removeprefix("identify_").removesuffix(".cfg"))
+def test_recording_reproduces_shipped_dataset(cfg):
+    # every sample of a shipped plan against its committed dataset (identify_dither.cfg
+    # holds each input for one sample)
     params, plan, v_target = shipped_plan(cfg)
     u, y = excite_and_record(params, plan, v_target)
-    shipped = read_table(config_path(dataset), ("k", "u", "y"), "dataset")
-    assert len(u) == len(shipped) == n
-    assert np.max(np.abs(u - shipped[:, 1])) <= 1e-10
-    assert np.max(np.abs(y - shipped[:, 2])) <= 1e-10
+    shipped = read_table(config_path(PIPELINE.DATASETS[cfg]), DATASET_COLUMNS, "dataset")
+    assert len(u) == len(shipped) == plan.n_samples
+    assert np.max(np.abs(u - shipped[:, 1])) <= PIPELINE.GATE
+    assert np.max(np.abs(y - shipped[:, 2])) <= PIPELINE.GATE
 
 
 def test_recording_takes_no_step_after_its_last_sample(ref_params, monkeypatch):
