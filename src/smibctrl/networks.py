@@ -104,8 +104,9 @@ def weight_jacobian(f_net: Mlp, g_net: Mlp, z, u: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (REGRESSOR_LEN,):
         raise ValueError("regressor length does not match the networks")
-    return _jacobian_batch(f_net, g_net, z[:, None], np.array([float(u)]),
-                           (_hidden(f_net, z[None]), _hidden(g_net, z[None])))[0]
+    factors = _jacobian_factors(f_net, g_net, np.array([float(u)]),
+                                (_hidden(f_net, z[None]), _hidden(g_net, z[None])))
+    return _jacobian_batch(factors, z[:, None])[0]
 
 
 # --- dataset ----------------------------------------------------------------
@@ -154,32 +155,47 @@ def mse_cost(f_net: Mlp, g_net: Mlp, data: Dataset) -> float:
     return float(0.5 * np.mean(e * e))
 
 
-def _jacobian_batch(f_net: Mlp, g_net: Mlp, Zt: np.ndarray, U: np.ndarray, hidden,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of d(y_hat)/d(theta) for the whole batch, as an (N, n_theta) array.
+def _jacobian_factors(f_net: Mlp, g_net: Mlp, U: np.ndarray, hidden,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Each network's Jacobian rows that no regressor enters, as a (2, 2p+1, N) array.
 
-    Zt holds the regressors as columns (best C-contiguous: each weight row
-    is filled along N) and hidden holds each network's _hidden of the same records.
-    The entries live in one C-ordered (n_theta, N) array, one row per
-    weight, and the result is its transpose; out, when given, is that array.
+    Per network: the p rows of S = d(y_hat)/d(hidden bias), the p output-weight
+    rows and the output-bias row, g's scaled by the inputs U.  hidden holds
+    each network's _hidden of the N records; out, when given, is the result.
     """
-    N, p = Zt.shape[1], f_net.n_hidden
-    w_end = p * REGRESSOR_LEN
-    n = w_end + 2 * p + 1   # weights per network
-    jt = np.empty((2 * n, N)) if out is None else out
-    for net, H, scale, rows in ((f_net, hidden[0].T, None, jt[:n]),
-                                (g_net, hidden[1].T, U, jt[n:])):
-        S = rows[w_end:w_end + p]
+    p = f_net.n_hidden
+    factors = np.empty((2, 2 * p + 1, U.shape[0])) if out is None else out
+    for net, H, scale, rows in ((f_net, hidden[0].T, None, factors[0]),
+                                (g_net, hidden[1].T, U, factors[1])):
+        S = rows[:p]
         np.multiply(1.0 - H * H, net.out_w[:, None], out=S)
         if scale is None:   # f's scale is 1: skipping x * 1.0 changes no bits
-            rows[w_end + p:-1] = H
+            rows[p:-1] = H
             rows[-1] = 1.0
         else:
             S *= scale
-            np.multiply(H, scale, out=rows[w_end + p:-1])
+            np.multiply(H, scale, out=rows[p:-1])
             rows[-1] = scale
-        np.multiply(S[:, None, :], Zt[None, :, :], out=rows[:w_end].reshape(p, REGRESSOR_LEN, N))
-    return jt.T
+    return factors
+
+
+def _jacobian_batch(factors: np.ndarray, Zt: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of d(y_hat)/d(theta) for N records, as an (N, n_theta) array.
+
+    factors is _jacobian_factors of the records and Zt holds their regressors
+    as columns.  The entries live in one C-ordered (2, n_theta / 2, N) array,
+    one row per weight, and the result is its (N, n_theta) transpose; out,
+    when given, is that array.  A hidden-weight row is S_i z_a, both networks
+    in one broadcast product.
+    """
+    _, q, N = factors.shape
+    p = (q - 1) // 2
+    w_end = p * REGRESSOR_LEN
+    jt = np.empty((2, w_end + q, N)) if out is None else out
+    np.multiply(factors[:, :p, None, :], Zt, out=jt[:, :w_end].reshape(2, p, REGRESSOR_LEN, N))
+    jt[:, w_end:] = factors
+    return jt.reshape(-1, N).T
 
 
 def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset):
@@ -192,6 +208,7 @@ def _lm_forward(f_net: Mlp, g_net: Mlp, data: Dataset):
 
 LM_MU0 = 1e-2   # initial Levenberg-Marquardt damping
 LM_BLOCK_RECORDS = 4096   # most records in one of lm_train's record blocks
+LM_CHUNK_RECORDS = 512    # most records in one Jacobian chunk of a block
 
 
 def _blocks(n: int) -> list:
@@ -211,16 +228,34 @@ def _run_blocks(pool, fn, per_block: list) -> list:
     return [fn(*per_block[0])] + [task.result() for task in tasks]
 
 
-def _block_normal_equations(f_net: Mlp, g_net: Mlp, u, hidden, residual,
-                            rows, zt, jt, jtj, jtr):
+def _block_normal_equations(f_net: Mlp, g_net: Mlp, data: Dataset, hidden, residual,
+                            factors, rows, zt, jt, jtj, jtr):
     """One record block's J_b'J_b and -J_b'e_b, written into jtj and jtr.
 
-    zt is the block's slice of Z', jt its (n_theta, N_b) Jacobian buffer,
-    and hidden and residual are full-length: rows picks the block's records.
+    The block first writes its records' _jacobian_factors into its columns
+    of factors.  Its records then stream through jt, a buffer of n_theta *
+    LM_CHUNK_RECORDS entries, in chunks of at most LM_CHUNK_RECORDS: each
+    chunk's regressors are copied as columns into zt, a buffer of
+    REGRESSOR_LEN * LM_CHUNK_RECORDS entries, its Jacobian J_c is filled
+    from them and the factors, and J_c'J_c and J_c'e_c are added to the
+    sums in chunk order, so a block of one chunk is summed as one.  hidden,
+    residual and factors are full-length: rows picks the block's records.
     """
-    _jacobian_batch(f_net, g_net, zt, u[rows], (hidden[0][rows], hidden[1][rows]), out=jt)
-    np.matmul(jt, jt.T, out=jtj)
-    np.matmul(jt, residual[rows], out=jtr)
+    _jacobian_factors(f_net, g_net, data.u[rows], (hidden[0][rows], hidden[1][rows]),
+                      out=factors[:, :, rows])
+    for start in range(rows.start, rows.stop, LM_CHUNK_RECORDS):
+        chunk = slice(start, min(start + LM_CHUNK_RECORDS, rows.stop))
+        n = chunk.stop - start
+        zc = zt[:REGRESSOR_LEN * n].reshape(REGRESSOR_LEN, n)
+        np.copyto(zc, data.z[chunk].T)
+        jc = _jacobian_batch(factors[:, :, chunk], zc,
+                             out=jt[:jtr.size * n].reshape(2, -1, n)).T
+        if start == rows.start:
+            np.matmul(jc, jc.T, out=jtj)
+            np.matmul(jc, residual[chunk], out=jtr)
+        else:
+            jtj += jc @ jc.T
+            jtr += jc @ residual[chunk]
     return jtj, jtr
 
 
@@ -249,7 +284,10 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     trial's residual and hidden layers give the next iteration's J'e and J.
     J_b'J_b and J_b'e_b are formed per record block of _blocks(N), block 0
     on the calling thread and the rest on a pool, and summed in block
-    order, so the weights do not depend on the worker count.
+    order, so the weights do not depend on the worker count.  J is never
+    held whole: each block computes its records' Jacobian factors once per
+    iteration and streams its records through one Jacobian chunk of
+    LM_CHUNK_RECORDS.
     Returns (f_net, g_net, LmState), the networks views of the final
     theta.  The accepted-step cost sequence is non-increasing, so a finite
     starting cost, which TrainingError enforces, stays finite.
@@ -271,10 +309,11 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
     state.cost_history.append(cost)
     identity = np.eye(theta.size)
     blocks = _blocks(len(data))
-    # each block's Z', J' (refilled every iteration), J_b'J_b and -J_b'e_b
-    buffers = [(rows, np.ascontiguousarray(data.z[rows].T),
-                np.empty((theta.size, rows.stop - rows.start)),
-                np.empty((theta.size, theta.size)), np.empty(theta.size)) for rows in blocks]
+    factors = np.empty((2, 2 * p + 1, len(data)))   # each block refills its columns
+    # each block's chunk buffers for Z' and J', J_b'J_b and -J_b'e_b
+    buffers = [(rows, np.empty(REGRESSOR_LEN * LM_CHUNK_RECORDS),
+                np.empty(theta.size * LM_CHUNK_RECORDS), np.empty((theta.size, theta.size)),
+                np.empty(theta.size)) for rows in blocks]
 
     # block 0 runs on this thread, so a one-block set never starts the pool's worker
     with ThreadPoolExecutor(max(1, min(len(blocks) - 1, os.cpu_count() or 1))) as pool:
@@ -284,7 +323,7 @@ def lm_train(f_net: Mlp, g_net: Mlp, data: Dataset, max_iter: int = 150,
             if cost <= cost_tol:
                 break
             parts = _run_blocks(pool, functools.partial(
-                _block_normal_equations, f_net, g_net, data.u, hidden, residual), buffers)
+                _block_normal_equations, f_net, g_net, data, hidden, residual, factors), buffers)
             jtj, jtr = parts[0]   # jtr = -J'e
             for block_jtj, block_jtr in parts[1:]:
                 jtj += block_jtj

@@ -231,6 +231,26 @@ def test_pipeline_writes_every_shipped_result():
     assert sorted(os.listdir(PIPELINE.RESULTS)) == written
 
 
+def test_pipeline_reads_every_committed_artifact_before_it_writes_one(tmp_path):
+    # a truncated trace is named with the reader's message, not raised mid-run; the
+    # other entries read as they are, and a file not there reads as None
+    entries = {os.path.basename(entry[2]): entry for entry in PIPELINE.manifest()}
+    _, _, trace, columns, kind = entries["big_swing.csv"]
+    dataset = entries["dataset_dither.csv"]
+    cut = tmp_path / "big_swing.csv"
+    with open(trace, encoding="utf-8") as fh:
+        cut.write_text(fh.read()[:20000])   # ends mid-row
+    missing = str(tmp_path / "missing.csv")
+    committed = PIPELINE.read_committed([("simulate", "cfg", str(cut), columns, kind), dataset,
+                                         ("simulate", "cfg", missing, columns, kind)])
+    assert list(committed) == [str(cut), dataset[2], missing]
+    message = committed[str(cut)]
+    assert isinstance(message, str)
+    assert message.startswith(f"{cut}:") and "malformed trace row" in message
+    assert np.array_equal(committed[dataset[2]], read_table(*dataset[2:]))
+    assert committed[missing] is None
+
+
 def test_pipeline_gate_fails_a_lost_row_and_a_moved_value(tmp_path):
     # each artifact read as the pipeline reads it, every column included
     tables = {os.path.basename(path): (path, columns, kind)

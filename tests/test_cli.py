@@ -169,7 +169,7 @@ def test_the_pipeline_script_pins_blas_before_numpy_loads():
 
 def test_train_ref_retrains_the_committed_weights(tmp_path):
     # the benchmark's train gate: the shipped training config lands within 1e-7 of
-    # narx_ref.nwt (2.8e-8, not bit for bit: the file was trained on datasets
+    # narx_ref.nwt (2.5e-8, not bit for bit: the file was trained on datasets
     # recorded with LU solves and with J'J and J'e summed in another order) and
     # meets acceptance criterion 5 on the holdout halves
     out = tmp_path / "narx.nwt"
@@ -181,7 +181,7 @@ def test_train_ref_retrains_the_committed_weights(tmp_path):
     costs = np.loadtxt(tmp_path / "narx_cost.csv", delimiter=",", skiprows=1)
     assert costs[-1, 1] <= 1e-4
     # the committed cost history of narx_ref.nwt: the same 151 costs, each within
-    # 1e-5 relative (2.0e-7 at most, at iteration 9)
+    # 1e-5 relative (2.5e-7 at most, at iteration 9)
     ref_costs = np.loadtxt(config_path("narx_ref_cost.csv"), delimiter=",", skiprows=1)
     assert ref_costs.shape == costs.shape == (151, 2)
     assert np.array_equal(costs[:, 0], ref_costs[:, 0])

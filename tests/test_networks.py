@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smibctrl import cli, networks
 from smibctrl.networks import (Dataset, Mlp, _forward_batch, _hidden, _jacobian_batch,
-                               lm_train, load_weights, mlp_forward, mse_cost,
+                               _jacobian_factors, lm_train, load_weights, mlp_forward, mse_cost,
                                predict_batch, save_weights, theta_flatten, theta_unflatten,
                                weight_jacobian)
 
@@ -181,9 +181,11 @@ def fd_jacobian(f_net, g_net, z, u, h=1e-6):
 
 
 def jacobian_rows(f_net, g_net, Z, U, out=None):
-    """_jacobian_batch on the record-major regressors Z, hidden layers included."""
-    return _jacobian_batch(f_net, g_net, np.ascontiguousarray(Z.T), U,
-                           (_hidden(f_net, Z), _hidden(g_net, Z)), out=out)
+    """_jacobian_batch on the record-major regressors Z, its factors included; out,
+    when given, is the parameter-major (n_theta, N) array."""
+    factors = _jacobian_factors(f_net, g_net, U, (_hidden(f_net, Z), _hidden(g_net, Z)))
+    return _jacobian_batch(factors, np.ascontiguousarray(Z.T),
+                           out=None if out is None else out.reshape(2, -1, Z.shape[0]))
 
 
 def test_jacobian_matches_finite_differences():
@@ -240,6 +242,17 @@ def test_jacobian_batch_matches_hstack_construction(p, n):
     assert np.shares_memory(jac, out)
     assert np.array_equal(out, expected.T)
     assert np.array_equal(jac, expected)
+
+
+@pytest.mark.parametrize("p", [1, 5])
+def test_weight_jacobian_is_the_one_record_hstack_construction(p):
+    # bitwise: the controller's Jacobian is the factors and their expansion of one record
+    rng = np.random.default_rng(200 + p)
+    for _ in range(5):
+        f_net, g_net = Mlp.random(p, rng=rng), Mlp.random(p, rng=rng)
+        z, u = rng.uniform(-1.5, 1.5, size=13), rng.uniform(-1.0, 1.0)
+        expected = hstack_jacobian(f_net, g_net, z[None], np.array([u]))[0]
+        assert np.array_equal(weight_jacobian(f_net, g_net, z, u), expected)
 
 
 def make_dataset(n=40, seed=0):
@@ -516,16 +529,76 @@ def test_more_block_workers_than_cores_lose_no_rows(monkeypatch):
     assert state.cost_history[-1] == mse_cost(f_fit, g_fit, data)
 
 
+def test_lm_fills_no_jacobian_wider_than_a_chunk(monkeypatch):
+    # three blocks: every buffer lm_train fills holds at most LM_CHUNK_RECORDS records,
+    # each block refills one buffer, and each iteration's chunks cover every record once
+    rng = np.random.default_rng(13)
+    f_net, g_net = Mlp.random(2, rng=rng), Mlp.random(2, rng=rng)
+    data = make_dataset(2 * networks.LM_BLOCK_RECORDS + 5, seed=14)
+    assert len(networks._blocks(len(data))) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fills, real_jacobian = [], networks._jacobian_batch
+
+    def spy(factors, Zt, out=None):
+        fills.append((factors.shape[-1], Zt.shape[1], out.shape[-1],
+                      out.__array_interface__["data"][0]))
+        return real_jacobian(factors, Zt, out=out)
+
+    monkeypatch.setattr(networks, "_jacobian_batch", spy)
+    lm_train(f_net, g_net, data, max_iter=2)
+    widths = [width for width, *_ in fills]
+    assert all(width <= networks.LM_CHUNK_RECORDS for width in widths)
+    assert all(width == zt_width == out_width for width, zt_width, out_width, _ in fills)
+    assert sum(widths) == 2 * len(data)
+    assert len({start for *_, start in fills}) == 3
+
+
+def test_block_normal_equations_over_chunks_match_the_one_shot_sums():
+    # a block of three full chunks and a short one, not at the start of the records,
+    # against J_b'J_b and J_b'e_b of the whole block at once; the buffers start as NaN,
+    # so a factor or Jacobian row written to a copy of its buffer shows
+    rng = np.random.default_rng(15)
+    f_net, g_net = Mlp.random(5, rng=rng), Mlp.random(5, rng=rng)
+    chunk = networks.LM_CHUNK_RECORDS
+    data = make_dataset(4 * chunk, seed=16)
+    rows = slice(37, 37 + 3 * chunk + 101)
+    residual = rng.uniform(-1.0, 1.0, size=len(data))
+    hidden = (_hidden(f_net, data.z), _hidden(g_net, data.z))
+    n_theta = theta_flatten(f_net, g_net).size
+    factors = np.full((2, 2 * 5 + 1, len(data)), np.nan)
+    jt = np.full(n_theta * chunk, np.nan)
+    jtj, jtr = np.full((n_theta, n_theta), np.nan), np.full(n_theta, np.nan)
+    zt = np.full(13 * chunk, np.nan)
+    result = networks._block_normal_equations(f_net, g_net, data, hidden, residual, factors,
+                                              rows, zt, jt, jtj, jtr)
+    assert result[0] is jtj and result[1] is jtr
+    assert np.array_equal(factors[:, :, rows], _jacobian_factors(
+        f_net, g_net, data.u[rows], (hidden[0][rows], hidden[1][rows])))
+    J = hstack_jacobian(f_net, g_net, data.z[rows], data.u[rows])
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(jtj, J.T @ J) <= 1e-13
+    assert rel(jtr, J.T @ residual[rows]) <= 1e-13
+
+
 def test_lm_first_step_solves_the_block_summed_normal_equations(monkeypatch):
-    # the test-side oracle sums each block's J_b'J_b and J_b'e_b in block order
+    # the test-side oracle sums each chunk's J_c'J_c and J_c'e_c in chunk order within
+    # a block, and each block's J_b'J_b and J_b'e_b in block order
     f_net, g_net, data = blocked_case()
-    half = len(data) // 2
+    half, chunk = len(data) // 2, networks.LM_CHUNK_RECORDS
     assert networks._blocks(len(data)) == [slice(0, half), slice(half, len(data))]
+    assert half > chunk and half % chunk   # several chunks per block, the last one short
     e = predict_batch(f_net, g_net, data.z, data.u) - data.y_next
     jtj, jte = 0.0, 0.0
-    for rows in (slice(0, half), slice(half, None)):
-        jt = jacobian_rows(f_net, g_net, data.z[rows], data.u[rows]).T
-        jtj, jte = jtj + jt @ jt.T, jte + jt @ e[rows]
+    for start, stop in ((0, half), (half, len(data))):
+        block_jtj, block_jte = 0.0, 0.0
+        for lo in range(start, stop, chunk):
+            rows = slice(lo, min(lo + chunk, stop))
+            jt = jacobian_rows(f_net, g_net, data.z[rows], data.u[rows]).T
+            block_jtj, block_jte = block_jtj + jt @ jt.T, block_jte + jt @ e[rows]
+        jtj, jte = jtj + block_jtj, jte + block_jte
     theta = theta_flatten(f_net, g_net)
     expected = theta + np.linalg.solve(jtj + networks.LM_MU0 * np.eye(theta.size), -jte)
 
@@ -582,28 +655,33 @@ def test_one_block_trains_on_the_calling_thread(monkeypatch):
 
 
 def test_block_zero_runs_on_the_calling_thread(monkeypatch):
-    # two blocks: block 0's Jacobian fill on the caller, block 1's on the pool's one
-    # worker; a set of one block submits no task and starts no thread
+    # two blocks: block 0's Jacobian chunks fill on the caller, block 1's on the pool's
+    # one worker; a set of one block submits no task and starts no thread
     f_net, g_net, data = blocked_case()
-    starts = [data.z[rows.start] for rows in networks._blocks(len(data))]   # first regressors
-    assert len(starts) == 2
+    blocks = networks._blocks(len(data))
+    assert len(blocks) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     caller, threads = threading.current_thread(), threading.active_count()
     fills, real_jacobian = [], networks._jacobian_batch
 
-    def spy(f_net, g_net, Zt, *args, **kwargs):
-        block = next(b for b, z in enumerate(starts) if np.array_equal(Zt[:, 0], z))
+    def spy(factors, Zt, *args, **kwargs):
+        record = np.flatnonzero((data.z == Zt[:, 0]).all(axis=1))[0]   # the chunk's first
+        block = next(b for b, rows in enumerate(blocks) if rows.start <= record < rows.stop)
         fills.append((block, threading.current_thread() is caller, threading.active_count()))
-        return real_jacobian(f_net, g_net, Zt, *args, **kwargs)
+        return real_jacobian(factors, Zt, *args, **kwargs)
+
+    def chunks(rows):
+        return math.ceil((rows.stop - rows.start) / networks.LM_CHUNK_RECORDS)
 
     monkeypatch.setattr(networks, "_jacobian_batch", spy)
     lm_train(f_net, g_net, data, max_iter=2)
-    assert sorted(fills) == [(0, True, threads + 1)] * 2 + [(1, False, threads + 1)] * 2
+    assert sorted(fills) == ([(0, True, threads + 1)] * 2 * chunks(blocks[0])
+                             + [(1, False, threads + 1)] * 2 * chunks(blocks[1]))
 
     data = make_dataset(networks.LM_BLOCK_RECORDS, seed=12)
-    starts, fills[:] = [data.z[0]], []
+    blocks, fills[:] = networks._blocks(len(data)), []
     lm_train(f_net, g_net, data, max_iter=2)
-    assert fills == [(0, True, threads)] * 2
+    assert fills == [(0, True, threads)] * 2 * chunks(blocks[0])
 
 
 def test_training_error_closes_the_block_pool(monkeypatch):
