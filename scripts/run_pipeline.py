@@ -15,7 +15,10 @@ each one's largest |new - old|, every column included, against the 1e-10
 GATE: tables of different shapes are infinitely far apart, and a file that
 was not there before is reported as new.  A committed file that does not
 parse is named with the reader's message and counts as over the gate; the
-run still regenerates every artifact, so it never stops half way.
+run still regenerates every artifact, so it never stops half way.  A
+command that fails counts as its artifact's failure, over the gate: the run
+goes on through the list and prints every line, then skips the studies and
+the retrain and exits 1.
 
 Then it trains the two-network model into a temporary directory, scores the
 retrained weights on the holdout that train_ref.cfg keeps out of training,
@@ -106,20 +109,29 @@ def main():
     os.chdir(os.path.join(ROOT, "configs"))
     os.makedirs(RESULTS, exist_ok=True)
     committed = read_committed(manifest())
-    gaps = {}   # artifact -> its gap, None when new, the reader's message when unreadable
+    gaps = {}   # artifact -> its gap, None when new, why it failed when it counts as over the gate
+    failed = 0
     for command, config, path, columns, kind in manifest():
-        run(command, "--config", config, "--out", path)
-        old = committed[path]
-        gaps[os.path.relpath(path, ROOT)] = (
-            table_gap(read_table(path, columns, kind), old) if isinstance(old, np.ndarray) else old)
+        code = cli_dispatch([command, "--config", config, "--out", path])
+        old, name = committed[path], os.path.relpath(path, ROOT)
+        if code != 0:
+            failed += 1
+            gaps[name] = f"not regenerated, `{command} --config {config}` exited {code}"
+        elif isinstance(old, np.ndarray):
+            gaps[name] = table_gap(read_table(path, columns, kind), old)
+        else:
+            gaps[name] = old if old is None else f"unreadable before this run ({old})"
     for name, artifact_gap in gaps.items():
         if artifact_gap is None:
             print(f"{name}: new, no file before this run")
         elif isinstance(artifact_gap, str):
-            print(f"{name}: unreadable before this run ({artifact_gap}), OVER the {GATE:g} gate")
+            print(f"{name}: {artifact_gap}, OVER the {GATE:g} gate")
         else:
             print(f"{name}: max |new - old| = {artifact_gap:.3e}, "
                   f"{'within' if artifact_gap <= GATE else 'OVER'} the {GATE:g} gate")
+    if failed:
+        print(f"{failed} command(s) failed: the studies and the retrain are skipped")
+        raise SystemExit(1)
     traces = {scenario: Trace.from_csv(os.path.join(RESULTS, csv))
               for scenario, csv in SCENARIOS.items()}
 

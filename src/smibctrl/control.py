@@ -75,7 +75,7 @@ def u_tilde(r: float, y_hist, placement: PolePlacement) -> float:
     """
     if len(y_hist) < placement.p:
         raise ValueError(f"need {placement.p} past outputs, have {len(y_hist)}")
-    return float(placement.k1 * r - placement._c_desc @ np.asarray(y_hist[:placement.p], float))
+    return placement.k1 * r - float(placement._c_desc @ np.asarray(y_hist[:placement.p], float))
 
 
 def linearizing_control(f_hat: float, g_hat: float, u_til: float, g_min: float) -> float:

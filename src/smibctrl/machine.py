@@ -101,9 +101,9 @@ class _Plant(NamedTuple):
     """One `MachineParams` compiled into the float kernels of `_kernels`."""
 
     currents: Callable               # lam -> i solving L i = lam
-    voltages: Callable               # x -> (currents, v_d, v_q)
-    rates: Callable                  # (x, u) -> dx/dt
-    step: Callable                   # (x, u, dt) -> x one RK4 step later
+    voltages: Callable               # x -> (currents, v_d, v_q), `currents` and `bus` inlined
+    rates: Callable                  # (x, u) -> dx/dt, the same inlined; for `derivatives`
+    step: Callable                   # (x, u, dt) -> x one RK4 step later, `rates` inlined
     steady: Callable | None          # (delta, v_target, branch) -> (P_e, x, u) | None
 
 
@@ -136,7 +136,8 @@ def _assembled(params: MachineParams) -> _Plant:
 
 # The kernels below work on Python floats: NumPy's per-call cost on 5- and
 # 7-element arrays is most of an RK4 step.  Every constant is a closure cell,
-# so an RK4 stage makes no attribute lookup and no array operation.  L couples
+# and `step` carries four inline copies of `rates`, so an RK4 step is one
+# Python call with no attribute lookup and no array operation.  L couples
 # the d-axis windings (d, f, kd) and the q-axis windings (q, kq) only among
 # themselves, and so does L^-1: its cross-block entries are exactly zero, so
 # i = L^-1 lam is 13 products, each current summed over its block's columns
@@ -180,18 +181,24 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
 
         The transmission drop is the skew pairing (-x11 Iq in v_d, +x11 Id in
         v_q); a symmetric pairing would invert the sense of voltage regulation
-        and destabilize any positive-gain exciter.
+        and destabilize any positive-gain exciter.  The arithmetic and checks of
+        `currents` and `bus` are inlined in their order, with no slice of x.
         """
+        delta, _, l0, l1, l2, l3, l4 = x
         # before sin, which raises ValueError on an infinite angle
-        if not isfinite(x[0]):
+        if not isfinite(delta):
             raise DivergenceError("power angle is not finite")
-        i = currents(x[2:])
-        w_d, w_q = bus(x[0])
-        return i, r11 * i[0] - x11 * i[1] + w_d, r11 * i[1] + x11 * i[0] + w_q
+        if not (isfinite(l0) and isfinite(l1) and isfinite(l2) and isfinite(l3) and isfinite(l4)):
+            raise DivergenceError("winding fluxes are not finite")
+        i0, i1 = m00 * l0 + m02 * l2 + m03 * l3, m11 * l1 + m14 * l4
+        sin_d, cos_d = sin(delta), cos(delta)
+        w_d, w_q = v_inf * (A * sin_d + B * cos_d), -v_inf * (B * sin_d - A * cos_d)
+        return ((i0, i1, m20 * l0 + m22 * l2 + m23 * l3, m30 * l0 + m32 * l2 + m33 * l3,
+                 m41 * l1 + m44 * l4), r11 * i0 - x11 * i1 + w_d, r11 * i1 + x11 * i0 + w_q)
 
     def rates(x, u):
         """State rate dx/dt as 7 floats.  The arithmetic and checks of `voltages`,
-        `currents` and `bus` are inlined in their order, so an RK4 stage is one call."""
+        `currents` and `bus` are inlined in their order; `step` inlines this in turn."""
         delta, omega, lam_d, lam_q, l2, l3, l4 = x
         if not isfinite(delta):
             raise DivergenceError("power angle is not finite")
@@ -214,25 +221,86 @@ def _kernels(p: MachineParams, L_inv, r_diag, K_inv):
                 r4 * i4 * w_b)
 
     def step(x, u, dt):
-        """One classical Runge-Kutta step holding u constant."""
+        """One classical Runge-Kutta step holding u constant.  Each stage is `rates`
+        written out in line, in its operation order and with its checks in its order,
+        so a step is one call and builds no stage tuple.  A stage's angle rate is its
+        own omega: x1 for the first stage, b0, c0 and d0 for the others."""
         x0, x1, x2, x3, x4, x5, x6 = x
         h = 0.5 * dt
-        a0, a1, a2, a3, a4, a5, a6 = rates(x, u)
-        b0, b1, b2, b3, b4, b5, b6 = rates((x0 + h * a0, x1 + h * a1, x2 + h * a2, x3 + h * a3,
-                                            x4 + h * a4, x5 + h * a5, x6 + h * a6), u)
-        c0, c1, c2, c3, c4, c5, c6 = rates((x0 + h * b0, x1 + h * b1, x2 + h * b2, x3 + h * b3,
-                                            x4 + h * b4, x5 + h * b5, x6 + h * b6), u)
-        d0, d1, d2, d3, d4, d5, d6 = rates((x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
-                                            x3 + dt * c3, x4 + dt * c4, x5 + dt * c5,
-                                            x6 + dt * c6), u)
+        # stage 1 at x
+        if not isfinite(x0):
+            raise DivergenceError("power angle is not finite")
+        if not (isfinite(x2) and isfinite(x3) and isfinite(x4) and isfinite(x5) and isfinite(x6)):
+            raise DivergenceError("winding fluxes are not finite")
+        i0, i1 = m00 * x2 + m02 * x4 + m03 * x5, m11 * x3 + m14 * x6
+        i2, i3 = m20 * x2 + m22 * x4 + m23 * x5, m30 * x2 + m32 * x4 + m33 * x5
+        i4 = m41 * x3 + m44 * x6
+        sin_d, cos_d = sin(x0), cos(x0)
+        v_d = r11 * i0 - x11 * i1 + v_inf * (A * sin_d + B * cos_d)
+        v_q = r11 * i1 + x11 * i0 - v_inf * (B * sin_d - A * cos_d)
+        a1 = w_2h * (P_m - (x2 * i1 - x3 * i0) - D * x1)
+        a2, a3 = (r0 * i0 + (x3 + v_d)) * w_b, (r1 * i1 + (-x2 + v_q)) * w_b
+        a4, a5, a6 = (r2 * i2 + u) * w_b, r3 * i3 * w_b, r4 * i4 * w_b
+        # stage 2 at x + h a
+        s0, b0 = x0 + h * x1, x1 + h * a1
+        s2, s3, s4 = x2 + h * a2, x3 + h * a3, x4 + h * a4
+        s5, s6 = x5 + h * a5, x6 + h * a6
+        if not isfinite(s0):
+            raise DivergenceError("power angle is not finite")
+        if not (isfinite(s2) and isfinite(s3) and isfinite(s4) and isfinite(s5) and isfinite(s6)):
+            raise DivergenceError("winding fluxes are not finite")
+        i0, i1 = m00 * s2 + m02 * s4 + m03 * s5, m11 * s3 + m14 * s6
+        i2, i3 = m20 * s2 + m22 * s4 + m23 * s5, m30 * s2 + m32 * s4 + m33 * s5
+        i4 = m41 * s3 + m44 * s6
+        sin_d, cos_d = sin(s0), cos(s0)
+        v_d = r11 * i0 - x11 * i1 + v_inf * (A * sin_d + B * cos_d)
+        v_q = r11 * i1 + x11 * i0 - v_inf * (B * sin_d - A * cos_d)
+        b1 = w_2h * (P_m - (s2 * i1 - s3 * i0) - D * b0)
+        b2, b3 = (r0 * i0 + (s3 + v_d)) * w_b, (r1 * i1 + (-s2 + v_q)) * w_b
+        b4, b5, b6 = (r2 * i2 + u) * w_b, r3 * i3 * w_b, r4 * i4 * w_b
+        # stage 3 at x + h b
+        s0, c0 = x0 + h * b0, x1 + h * b1
+        s2, s3, s4 = x2 + h * b2, x3 + h * b3, x4 + h * b4
+        s5, s6 = x5 + h * b5, x6 + h * b6
+        if not isfinite(s0):
+            raise DivergenceError("power angle is not finite")
+        if not (isfinite(s2) and isfinite(s3) and isfinite(s4) and isfinite(s5) and isfinite(s6)):
+            raise DivergenceError("winding fluxes are not finite")
+        i0, i1 = m00 * s2 + m02 * s4 + m03 * s5, m11 * s3 + m14 * s6
+        i2, i3 = m20 * s2 + m22 * s4 + m23 * s5, m30 * s2 + m32 * s4 + m33 * s5
+        i4 = m41 * s3 + m44 * s6
+        sin_d, cos_d = sin(s0), cos(s0)
+        v_d = r11 * i0 - x11 * i1 + v_inf * (A * sin_d + B * cos_d)
+        v_q = r11 * i1 + x11 * i0 - v_inf * (B * sin_d - A * cos_d)
+        c1 = w_2h * (P_m - (s2 * i1 - s3 * i0) - D * c0)
+        c2, c3 = (r0 * i0 + (s3 + v_d)) * w_b, (r1 * i1 + (-s2 + v_q)) * w_b
+        c4, c5, c6 = (r2 * i2 + u) * w_b, r3 * i3 * w_b, r4 * i4 * w_b
+        # stage 4 at x + dt c
+        s0, d0 = x0 + dt * c0, x1 + dt * c1
+        s2, s3, s4 = x2 + dt * c2, x3 + dt * c3, x4 + dt * c4
+        s5, s6 = x5 + dt * c5, x6 + dt * c6
+        if not isfinite(s0):
+            raise DivergenceError("power angle is not finite")
+        if not (isfinite(s2) and isfinite(s3) and isfinite(s4) and isfinite(s5) and isfinite(s6)):
+            raise DivergenceError("winding fluxes are not finite")
+        i0, i1 = m00 * s2 + m02 * s4 + m03 * s5, m11 * s3 + m14 * s6
+        i2, i3 = m20 * s2 + m22 * s4 + m23 * s5, m30 * s2 + m32 * s4 + m33 * s5
+        i4 = m41 * s3 + m44 * s6
+        sin_d, cos_d = sin(s0), cos(s0)
+        v_d = r11 * i0 - x11 * i1 + v_inf * (A * sin_d + B * cos_d)
+        v_q = r11 * i1 + x11 * i0 - v_inf * (B * sin_d - A * cos_d)
+        d1 = w_2h * (P_m - (s2 * i1 - s3 * i0) - D * d0)
+        d2, d3 = (r0 * i0 + (s3 + v_d)) * w_b, (r1 * i1 + (-s2 + v_q)) * w_b
+        d4, d5, d6 = (r2 * i2 + u) * w_b, r3 * i3 * w_b, r4 * i4 * w_b
         w = dt / 6.0
-        x_new = (x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                 x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-                 x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4), x5 + w * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-                 x6 + w * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
-        if not all(map(isfinite, x_new)):
+        x0, x1 = x0 + w * (x1 + 2.0 * b0 + 2.0 * c0 + d0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        x2, x3 = x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        x4, x5 = x4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4), x5 + w * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+        x6 = x6 + w * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+        if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3) and isfinite(x4)
+                and isfinite(x5) and isfinite(x6)):
             raise DivergenceError("rk4_step produced a non-finite state")
-        return x_new
+        return x0, x1, x2, x3, x4, x5, x6
 
     if K_inv is None:
         return currents, voltages, rates, step, None

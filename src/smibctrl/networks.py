@@ -70,7 +70,9 @@ def mlp_forward(net: Mlp, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (REGRESSOR_LEN,):
         raise ValueError(f"regressor shape {z.shape} is not ({REGRESSOR_LEN},)")
-    return float(_forward_batch(net, z))
+    # _forward_batch on one row, with the output bias added in Python floats: the same
+    # IEEE sum, without NumPy's scalar-plus-0-d-array dispatch
+    return float(_hidden(net, z) @ net.out_w) + float(net.out_b)
 
 
 # --- flat parameter vector ------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from smibctrl import machine
 from smibctrl.cli import cli_dispatch
-from smibctrl.configio import read_table
+from smibctrl.configio import read_table, write_table
 from smibctrl.control import (ControllerState, NeuralPlantModel, control_step,
                               synthesize_poly)
 from smibctrl.identify import (ExcitationPlan, build_regression_set, cross_validate,
@@ -270,3 +270,36 @@ def test_pipeline_gate_fails_a_lost_row_and_a_moved_value(tmp_path):
     moved = committed.copy()
     moved[1234, columns.index("y")] += 2e-10
     assert PIPELINE.table_gap(moved, committed) > PIPELINE.GATE
+
+
+def test_pipeline_goes_through_the_list_when_a_command_fails(tmp_path, monkeypatch, capsys):
+    # the failing entry counts over the gate, the entries after it still run, every line
+    # is printed, and the studies and the retrain are skipped
+    table = [np.arange(3.0)] * len(TRACE_COLUMNS)
+    entries = [("simulate", f"{name}.cfg", str(tmp_path / f"{name}.csv"), TRACE_COLUMNS, "trace")
+               for name in ("first", "bad", "last")]
+    for entry in entries:
+        write_table(entry[2], TRACE_COLUMNS, table)
+    calls = []
+
+    def cli_dispatch(argv):
+        calls.append(argv)
+        if argv[2] == "bad.cfg":
+            return 2
+        write_table(argv[4], TRACE_COLUMNS, table)
+        return 0
+
+    monkeypatch.chdir(tmp_path)   # main moves into configs/; this restores the directory
+    monkeypatch.setattr(PIPELINE, "manifest", lambda: iter(entries))
+    monkeypatch.setattr(PIPELINE, "cli_dispatch", cli_dispatch)
+    with pytest.raises(SystemExit) as exit_info:
+        PIPELINE.main()
+    assert exit_info.value.code == 1
+    assert [argv[2] for argv in calls] == ["first.cfg", "bad.cfg", "last.cfg"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].endswith("first.csv: max |new - old| = 0.000e+00, within the 1e-10 gate")
+    assert lines[1].endswith("bad.csv: not regenerated, `simulate --config bad.cfg` exited 2, "
+                             "OVER the 1e-10 gate")
+    assert lines[2].endswith("last.csv: max |new - old| = 0.000e+00, within the 1e-10 gate")
+    assert lines[3] == "1 command(s) failed: the studies and the retrain are skipped"

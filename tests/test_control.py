@@ -65,6 +65,13 @@ def test_u_tilde_cases():
     assert u_tilde(1.0, [1.0], spec1) == pytest.approx(1.0, abs=1e-15)
     spec3 = synthesize_poly([0.7] * 3)
     assert u_tilde(1.0, [1.0, 1.0, 1.0], spec3) == pytest.approx(1.0, abs=1e-12)
+    # finished in Python floats, the tail is the same IEEE operation as the NumPy form
+    rng = np.random.default_rng(41)
+    for p in (0, 1, 3, 7):
+        spec = synthesize_poly([0.7] * p)
+        k1, c_desc = spec.k1, np.array(spec.coeffs[::-1])
+        for r, y in zip(rng.uniform(0.5, 2.0, 500).tolist(), 1.1392 + rng.normal(size=(500, 7))):
+            assert u_tilde(r, tuple(y.tolist()), spec) == float(k1 * r - c_desc @ y[:p])
 
 
 def test_u_tilde_requires_history():

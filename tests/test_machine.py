@@ -286,6 +286,8 @@ def test_cached_hash_is_the_field_tuple_hash_and_not_a_field():
     (2, -1e306, "winding fluxes"),   # the stage-2 fluxes overflow
     (4, 1e306, "power angle"),       # P_e overflows, so the stage-3 angle is -inf
     (1, 1e308, "rk4_step produced a non-finite state"),  # every stage is finite
+    (1, math.inf, "power angle"),    # omega enters the stage-2 angle
+    (2, 7e153, "power angle"),       # the stage-4 angle
 ])
 def test_rk4_step_non_finite_is_divergence(ref_params, nominal_eq, index, value, message):
     state, u_eq = nominal_eq
@@ -300,6 +302,25 @@ def test_rk4_step_non_finite_is_divergence(ref_params, nominal_eq, index, value,
                              lambda: derivatives(x, u_eq, ref_params)):
                 with pytest.raises(machine.DivergenceError, match=message):
                     evaluate()
+
+
+@pytest.mark.parametrize("entries, u, dt, message", [
+    # P_e is inf - inf in stage 1, so the stage-2 omega and the stage-3 angle are NaN
+    ({2: 1e140, 3: 1e168}, None, 5e-4, "power angle"),
+    # the field flux leaves the float range in a later stage of a 0.1 s step
+    ({}, 1e305, 0.1, "winding fluxes"),   # the stage-3 fluxes
+    ({}, 1e304, 0.1, "winding fluxes"),   # the stage-4 fluxes
+])
+def test_rk4_step_later_stage_checks(ref_params, nominal_eq, entries, u, dt, message):
+    # the stage checks that no state off the operating point in one entry reaches at 5e-4 s
+    state, u_eq = nominal_eq
+    x = state.copy()
+    for index, value in entries.items():
+        x[index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(machine.DivergenceError, match=message):
+            rk4_step(x, u_eq if u is None else u, dt, ref_params)
 
 
 def test_singular_inductance_rejected():

@@ -47,12 +47,14 @@ def test_forward_single_neuron_tanh():
 
 
 def test_forward_of_one_row_matches_the_batch_of_one(shipped_nets):
-    # mlp_forward hands the 1-D regressor to the batch kernel; the matrix-vector
-    # product may round apart from the one-row matrix product, by an ulp at most
+    # mlp_forward runs the batch kernel's hidden layer on the 1-D regressor and adds the
+    # output bias in Python floats, bitwise the batch kernel on that 1-D regressor; its
+    # matrix-vector product may round apart from the one-row matrix product, by an ulp at most
     rng = np.random.default_rng(27)
     Z = 1.1392 + rng.normal(size=(10_000, 13)) * rng.uniform(0.01, 2.0, size=(10_000, 1))
     for net in (*shipped_nets, random_net(p=9, seed=3)):
         single = np.array([mlp_forward(net, z) for z in Z])
+        assert np.array_equal(single, [float(_forward_batch(net, z)) for z in Z])
         batch_of_one = np.array([_forward_batch(net, z[None])[0] for z in Z])
         np.testing.assert_array_max_ulp(single, batch_of_one, maxulp=1)
 
